@@ -3,14 +3,17 @@
 Log-linear model over per-position feature strings (from template
 expansion) and optional label-transition features.  Inference is all
 log-space: forward-backward for the partition function and marginals,
-Viterbi (lowest-index tie-break) for decoding.  Training minimizes the
+Viterbi (lowest-index tie-break) for decoding.  Training expands each
+sentence once, interning feature strings in first-occurrence order into
+one fixed-width (positions, rules) id matrix, and minimizes the
 L2-regularized negative log-likelihood
 
     f(w) = -sum_s log p(y_s | x_s; w) + ||w||^2 / (2C)
 
-with L-BFGS, so larger C means weaker regularization.
+with L-BFGS over that matrix, so larger C means weaker regularization.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,65 +180,65 @@ class FeatureAlphabet:
         return self.trans_base() + a * self.n_labels + b
 
     def feature_strings(self) -> list[str]:
-        out = [""] * self.n_features
-        for feat, fid in self.feat_index.items():
-            out[fid] = feat
-        return out
+        return list(self.feat_index)  # ids follow insertion order
+
+
+@dataclass
+class EncodedCorpus:
+    """A training corpus expanded once.
+
+    Row p of ``ids`` holds the feature ids of position p, one column per
+    template rule; positions run over the non-empty sentences in corpus
+    order, and ``lengths`` gives each such sentence's token count.
+    """
+    alphabet: FeatureAlphabet
+    ids: np.ndarray  # (positions, n_rules)
+    lengths: np.ndarray  # (sentences,)
+
+    @property
+    def n_features(self) -> int:
+        return self.alphabet.n_features
 
 
 def build_alphabet(docs: list[Document], template: FeatureTemplate,
-                   scheme: Scheme) -> FeatureAlphabet:
-    """First-occurrence alphabet over every expanded feature string."""
+                   scheme: Scheme) -> EncodedCorpus:
+    """Expand every sentence once, interning feature strings in
+    first-occurrence order."""
     if not any(doc.sentences for doc in docs):
         raise ConfigError("cannot build an alphabet from an empty corpus")
     alphabet = FeatureAlphabet(scheme.labels, template.transitions)
+    ids: list[int] = []
+    lengths: list[int] = []
     for doc in docs:
         for sentence in doc.sentences:
-            table = feature_table(sentence)
-            for feats in expand_sentence(template, table):
-                for feat in feats:
-                    alphabet.add(feat)
-    return alphabet
+            if not sentence.tokens:
+                continue
+            for feats in expand_sentence(template, feature_table(sentence)):
+                ids.extend(map(alphabet.add, feats))
+            lengths.append(len(sentence.tokens))
+    return EncodedCorpus(
+        alphabet,
+        np.array(ids, dtype=np.intp).reshape(sum(lengths), len(template.rules)),
+        np.array(lengths, dtype=np.intp))
 
 
-# --- training instances ---------------------------------------------------
+# --- training labels and tag-time instances -------------------------------
+
+def make_instances(docs: list[Document], scheme: Scheme,
+                   event_type: str) -> np.ndarray:
+    """Gold label ids of every position, in the row order of the
+    ``build_alphabet`` matrix."""
+    label_id = {lab: y for y, lab in enumerate(scheme.labels)}
+    return np.array([label_id[lab] for doc in docs
+                     for row in encode_document(doc, scheme, event_type)
+                     for lab in row], dtype=np.intp)
+
 
 @dataclass
 class Instance:
     """One sentence: per-position known-feature ids and gold label ids."""
     feats: list[list[int]]
     gold: list[int]
-
-
-def _sentence_fids(sentence, template, alphabet, allow_unseen=False):
-    table = feature_table(sentence)
-    rows = []
-    for feats in expand_sentence(template, table):
-        fids = []
-        for feat in feats:
-            fid = alphabet.feature_id(feat)
-            if fid is None:
-                if not allow_unseen:
-                    raise ConfigError(f"feature {feat!r} missing from alphabet")
-                continue  # unseen at tag time: zero score
-            fids.append(fid)
-        rows.append(fids)
-    return rows
-
-
-def make_instances(docs: list[Document], template: FeatureTemplate,
-                   alphabet: FeatureAlphabet, scheme: Scheme,
-                   event_type: str) -> list[Instance]:
-    label_id = {lab: y for y, lab in enumerate(scheme.labels)}
-    instances = []
-    for doc in docs:
-        label_rows = encode_document(doc, scheme, event_type)
-        for sentence, labels in zip(doc.sentences, label_rows):
-            if not sentence.tokens:
-                continue
-            feats = _sentence_fids(sentence, template, alphabet)
-            instances.append(Instance(feats, [label_id[lab] for lab in labels]))
-    return instances
 
 
 # --- objective: reference (per-sentence) path ------------------------------
@@ -301,49 +304,33 @@ def objective_and_gradient(weights: np.ndarray, instances: list[Instance],
 class BatchedObjective:
     """Vectorized objective over all sentences at once.
 
-    Sentences are sorted by length (descending) so that at time step t
-    the active sentences are a prefix; positions live in one flat array
-    addressed by precomputed per-step index vectors.  Empirical counts
-    do not depend on the weights and are folded into one constant
-    vector, so f(w) = sum logZ_s - w . emp + ||w||^2/(2C).
+    Takes the fixed-width id matrix of ``build_alphabet`` and the gold
+    ids of ``make_instances``.  Sentences are re-sorted by length
+    (descending, stable) so that at time step t the active sentences are
+    a prefix; positions live in one flat array addressed by precomputed
+    per-step index vectors, and the feature ids of position p are the
+    flat slice [p*R, (p+1)*R) for R template rules.  Empirical counts do
+    not depend on the weights and are folded into one constant vector,
+    so f(w) = sum logZ_s - w . emp + ||w||^2/(2C).
     """
 
-    def __init__(self, instances: list[Instance], alphabet: FeatureAlphabet,
-                 C: float):
+    def __init__(self, encoded: EncodedCorpus, gold: np.ndarray, C: float):
+        alphabet = encoded.alphabet
         self.alphabet = alphabet
         self.C = C
         self.L = alphabet.n_labels
-        order = sorted(range(len(instances)),
-                       key=lambda i: -len(instances[i].gold))
-        insts = [instances[i] for i in order]
-        self.lengths = np.array([len(i.gold) for i in insts], dtype=np.intp)
-        self.n_sent = len(insts)
-        self.max_len = int(self.lengths[0]) if self.n_sent else 0
-        starts = np.zeros(self.n_sent, dtype=np.intp)
-        np.cumsum(self.lengths[:-1], out=starts[1:])
-        total = int(self.lengths.sum())
-        self.total_positions = total
-
-        # per-rule feature ids can vary in count (unseen never happens in
-        # training, but keep ragged storage for generality)
-        flat_fids = []
-        fid_ptr = np.zeros(total + 1, dtype=np.intp)
-        gold = np.zeros(total, dtype=np.intp)
-        p = 0
-        for inst in insts:
-            for t in range(len(inst.gold)):
-                flat_fids.extend(inst.feats[t])
-                gold[p] = inst.gold[t]
-                p += 1
-                fid_ptr[p] = len(flat_fids)
-        self.fids = np.array(flat_fids, dtype=np.intp)
-        self.fid_ptr = fid_ptr
-        self.gold = gold
-        # how many fids each position has, expanded to per-fid position ids
-        counts = np.diff(fid_ptr)
-        self.pos_of_fid = np.repeat(np.arange(total, dtype=np.intp), counts)
-        # segment sums need every segment non-empty
-        self.uniform_fids = total > 0 and bool(np.all(counts > 0))
+        self.n_rules = encoded.ids.shape[1]
+        order = np.argsort(-encoded.lengths, kind="stable")
+        self.lengths = encoded.lengths[order]
+        self.max_len = int(self.lengths[0]) if len(order) else 0
+        starts = np.cumsum(self.lengths) - self.lengths
+        # position p of the sorted layout comes from row perm[p] of the input
+        starts_in = np.cumsum(encoded.lengths) - encoded.lengths
+        perm = (np.repeat(starts_in[order] - starts, self.lengths)
+                + np.arange(len(gold)))
+        self.fids = encoded.ids[perm].ravel()
+        self.fid_starts = np.arange(len(gold)) * self.n_rules
+        gold = gold[perm]
 
         # per-step active prefix size and flat position indices
         self.active = np.searchsorted(-self.lengths, -(np.arange(self.max_len) + 1),
@@ -351,31 +338,26 @@ class BatchedObjective:
         self.step_idx = [starts[:k] + t
                          for t, k in enumerate(self.active)]
         self.last_idx = starts + self.lengths - 1
-        self.sent_of_pos = np.repeat(np.arange(self.n_sent, dtype=np.intp),
-                                     self.lengths)
+        self.sent_of_pos = np.repeat(np.arange(len(order)), self.lengths)
 
-        # constant empirical-count vector
+        # constant empirical-count vector; integer counts, so the order of
+        # accumulation does not matter
         emp = np.zeros(alphabet.dim)
         e_node = emp[:alphabet.n_features * self.L].reshape(-1, self.L)
-        np.add.at(e_node, (self.fids, gold[self.pos_of_fid]), 1.0)
+        np.add.at(e_node, (self.fids, np.repeat(gold, self.n_rules)), 1.0)
         if alphabet.transitions:
             e_trans = emp[alphabet.trans_base():].reshape(self.L, self.L)
-            for t in range(1, self.max_len):
-                idx = self.step_idx[t]
-                prev = self.step_idx[t - 1][:len(idx)]
-                np.add.at(e_trans, (gold[prev], gold[idx]), 1.0)
+            nxt = np.delete(np.arange(len(gold)), starts)  # non-first positions
+            np.add.at(e_trans, (gold[nxt - 1], gold[nxt]), 1.0)
         self.empirical = emp
 
     def __call__(self, weights: np.ndarray):
         a = self.alphabet
         L = self.L
         w_node, w_trans = _unpack(weights, a)
-        # node scores for every position
-        if self.uniform_fids:
-            node = np.add.reduceat(w_node[self.fids], self.fid_ptr[:-1], axis=0)
-        else:
-            node = np.zeros((self.total_positions, L))
-            np.add.at(node, self.pos_of_fid, w_node[self.fids])
+        # node scores for every position (a template without rules has none)
+        node = (np.add.reduceat(w_node[self.fids], self.fid_starts, axis=0)
+                if self.fids.size else np.zeros((len(self.fid_starts), L)))
         alpha = np.zeros_like(node)
         beta = np.zeros_like(node)
 
@@ -405,7 +387,7 @@ class BatchedObjective:
 
         grad = np.zeros_like(weights)
         g_node = grad[:a.n_features * L].reshape(-1, L)
-        contrib = marg[self.pos_of_fid]
+        contrib = np.repeat(marg, self.n_rules, axis=0)
         for y in range(L):
             g_node[:, y] = np.bincount(self.fids, weights=contrib[:, y],
                                        minlength=a.n_features)
@@ -443,8 +425,11 @@ class CrfModel:
         if not sentence.tokens:
             return []
         w_node, w_trans = _unpack(self.weights, self.alphabet)
-        fids = _sentence_fids(sentence, self.template, self.alphabet,
-                              allow_unseen=True)
+        # features unseen in training are dropped and so score zero
+        fids = [[fid for fid in map(self.alphabet.feature_id, feats)
+                 if fid is not None]
+                for feats in expand_sentence(self.template,
+                                             feature_table(sentence))]
         lat = instance_lattice(Instance(fids, [0] * len(fids)), w_node, w_trans)
         path = viterbi(lat)
         return [self.alphabet.labels[y] for y in path]
@@ -456,11 +441,12 @@ class CrfModel:
 def train(docs: list[Document], template: FeatureTemplate, scheme: Scheme,
           event_type: str, config: TrainerConfig = TrainerConfig()) -> CrfModel:
     """Fit a per-event-type model by regularized maximum likelihood."""
-    alphabet = build_alphabet(docs, template, scheme)
-    instances = make_instances(docs, template, alphabet, scheme, event_type)
-    if not instances:
+    encoded = build_alphabet(docs, template, scheme)
+    gold = make_instances(docs, scheme, event_type)
+    if not gold.size:
         raise ConfigError("no non-empty sentences to train on")
-    objective = BatchedObjective(instances, alphabet, config.C)
+    objective = BatchedObjective(encoded, gold, config.C)
+    alphabet = encoded.alphabet
     weights, log = optim.minimize(
         objective, np.zeros(alphabet.dim),
         memory=config.lbfgs_memory, eta=config.eta,
@@ -508,40 +494,49 @@ def load_model(text: str) -> CrfModel:
         raise ParseError(f"unsupported model format {got!r}", 1)
 
     def header(line_no, key):
-        raw = lines[line_no - 1]
+        raw = lines[line_no - 1] if line_no <= len(lines) else ""
         prefix = f"{key} = "
         if not raw.startswith(prefix):
             raise ParseError(f"expected {key!r} header", line_no)
         return raw[len(prefix):]
 
-    scheme = get_scheme(header(2, "scheme"))
+    def count(line_no, key):
+        value = header(line_no, key)
+        if not value.isdecimal():
+            raise ParseError(f"{key} must be a non-negative integer", line_no)
+        return int(value)
+
+    try:
+        scheme = get_scheme(header(2, "scheme"))
+    except ValueError as exc:
+        raise ParseError(str(exc), 2) from None
     event_type = header(3, "event_type")
-    transitions = header(4, "transitions") == "true"
+    flag = header(4, "transitions")
+    if flag not in ("true", "false"):
+        raise ParseError(f"transitions must be true or false, not {flag!r}", 4)
+    transitions = flag == "true"
     labels = tuple(header(5, "labels").split())
     if labels != scheme.labels:
         raise ParseError("label list does not match scheme", 5)
-    try:
-        template_lines = int(header(6, "template_lines"))
-    except ValueError:
-        raise ParseError("template_lines must be an integer", 6) from None
+    template_lines = count(6, "template_lines")
+    if len(lines) < 6 + template_lines:
+        raise ParseError("file ends inside the template", len(lines) + 1)
     template_text = "\n".join(lines[6:6 + template_lines]) + "\n"
     template = parse_template(template_text)
     if template.transitions != transitions:
         raise ParseError("transitions flag disagrees with template", 4)
     cursor = 6 + template_lines
-    try:
-        n_features = int(header(cursor + 1, "features"))
-    except ValueError:
-        raise ParseError("features must be an integer", cursor + 1) from None
+    n_features = count(cursor + 1, "features")
 
     alphabet = FeatureAlphabet(labels, transitions)
-    weights = np.zeros(n_features * len(labels)
-                       + (len(labels) ** 2 if transitions else 0))
-    expected = weights.size
-    row_no = cursor + 1
-    count = 0
-    for raw in lines[cursor + 1:]:
-        row_no += 1
+    expected = n_features * len(labels) + (len(labels) ** 2 if transitions else 0)
+    rows = lines[cursor + 1:]
+    if len(rows) != expected:
+        raise ParseError(f"expected {expected} weight rows, got {len(rows)}",
+                         len(lines))
+    weights = np.zeros(expected)
+    for pos, raw in enumerate(rows):
+        row_no = cursor + 2 + pos
         cells = raw.split("\t")
         if len(cells) != 4:
             raise ParseError(f"expected 4 fields, got {len(cells)}", row_no)
@@ -556,14 +551,16 @@ def load_model(text: str) -> CrfModel:
                 fid = alphabet.add(feat)
                 want = alphabet.index(fid, labels.index(lab))
             weight = float(weight_s)
+            if not math.isfinite(weight):
+                raise ValueError(f"non-finite weight {weight_s!r}")
         except ValueError as exc:
             raise ParseError(f"bad weight row: {exc}", row_no) from None
-        if idx != want:
+        if idx != want or idx != pos:  # rows are written in index order
             raise ParseError(f"index {idx} does not match layout ({want})",
                              row_no)
         weights[idx] = weight
-        count += 1
-    if alphabet.n_features != n_features or count != expected:
+    if alphabet.n_features != n_features:
         raise ParseError(
-            f"expected {expected} weight rows, got {count}", row_no)
+            f"expected {n_features} features, got {alphabet.n_features}",
+            len(lines))
     return CrfModel(alphabet, weights, scheme, template, event_type)

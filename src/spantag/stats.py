@@ -223,12 +223,14 @@ class RunMatrix:
 
 def parse_matrix(text: str) -> RunMatrix:
     """Read the TSV emitted by ``RunMatrix.tsv``."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split("\t")[:2] != ["event", "model"]:
-        raise ParseError("missing run-matrix header", 1)
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
+             if ln.strip()]
+    if not lines or lines[0][1].split("\t")[:2] != ["event", "model"]:
+        raise ParseError("missing run-matrix header",
+                         lines[0][0] if lines else 1)
     cells_by_key: dict[tuple[str, str], dict[tuple[int, int], tuple[float, float]]] = {}
     max_repeat = max_fold = 0
-    for line_no, raw in enumerate(lines[1:], 2):
+    for line_no, raw in lines[1:]:
         parts = raw.split("\t")
         if len(parts) != 6:
             raise ParseError(f"expected 6 fields, got {len(parts)}", line_no)
@@ -238,7 +240,18 @@ def parse_matrix(text: str) -> RunMatrix:
             pair = (float(strict_s), float(lenient_s))
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from None
-        cells_by_key.setdefault((event_type, model), {})[(repeat, fold)] = pair
+        if not all(0.0 <= f1 <= 1.0 for f1 in pair):
+            raise ParseError(f"F1 values must lie in [0, 1], got {pair}",
+                             line_no)
+        if repeat < 0 or fold < 0:
+            raise ParseError(
+                f"repeat and fold must be non-negative, got {repeat}, {fold}",
+                line_no)
+        cells = cells_by_key.setdefault((event_type, model), {})
+        if (repeat, fold) in cells:
+            raise ParseError(f"duplicate cell ({event_type}, {model}, "
+                             f"{repeat}, {fold})", line_no)
+        cells[(repeat, fold)] = pair
         max_repeat = max(max_repeat, repeat)
         max_fold = max(max_fold, fold)
     repeats, folds = max_repeat + 1, max_fold + 1
@@ -279,26 +292,24 @@ def make_folds(n_docs: int, folds: int, seed: int) -> list[list[int]]:
 def _run_fold(docs: list[Document], event_type: str, models: tuple[str, ...],
               trainer: crf.TrainerConfig, template: FeatureTemplate,
               expander: ExpanderConfig, test_idx: list[int]):
-    """Train every scheme the model list needs on the non-test documents,
-    then score each model on the held-out fold."""
+    """Train every scheme the model list needs on the non-test documents
+    and tag the held-out fold once per scheme, then score each model."""
     test_set = set(test_idx)
     train_docs = [d for i, d in enumerate(docs) if i not in test_set]
     test_docs = [docs[i] for i in test_idx]
     gold = {d.id: d.spans_of(event_type) for d in test_docs}
     results = {}
-    trained = {}
+    tagged = {}  # scheme name -> (model, label rows per test document)
     for model_name in models:
         scheme_name, mode = MODEL_CONFIGS[model_name]
-        if scheme_name not in trained:
-            trained[scheme_name] = crf.train(
-                train_docs, template, get_scheme(scheme_name), event_type,
-                trainer)
-        model = trained[scheme_name]
-        system = {}
-        for doc in test_docs:
-            rows = model.tag(doc)
-            system[doc.id] = pipeline_spans(rows, doc, model.scheme,
-                                            event_type, mode, expander)
+        if scheme_name not in tagged:
+            model = crf.train(train_docs, template, get_scheme(scheme_name),
+                              event_type, trainer)
+            tagged[scheme_name] = (model, [model.tag(d) for d in test_docs])
+        model, rows = tagged[scheme_name]
+        system = {doc.id: pipeline_spans(doc_rows, doc, model.scheme,
+                                         event_type, mode, expander)
+                  for doc, doc_rows in zip(test_docs, rows)}
         results[model_name] = f1_scores(gold, system, event_type)
     return results
 

@@ -1,7 +1,13 @@
 """Command-line behavior: end-to-end flows, formats, and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import spantag
 from spantag import corpus, crf, stats, synth
 from spantag.cli import main
 
@@ -189,6 +195,21 @@ class TestTagCommand:
         assert rc == 0
         assert corpus.parse_column_file(out_path.read_text("utf-8"))
 
+    def test_truncated_model_is_a_data_error(self, workdir, corpus_file,
+                                             model_file):
+        cut = workdir / "cut.model"
+        head = model_file.read_text("utf-8").splitlines()[:3]
+        cut.write_text("\n".join(head) + "\n", encoding="utf-8")
+        src = str(Path(spantag.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "spantag.cli", "tag", "--model", str(cut),
+             "--input", str(corpus_file)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "line 4" in proc.stderr
+
     def test_missing_model_file(self, workdir, corpus_file, capsys):
         rc = main(["tag", "--model", str(workdir / "void.model"),
                    "--input", str(corpus_file)])
@@ -273,6 +294,15 @@ class TestCrossvalAndStats:
         out = capsys.readouterr().out
         assert "== ALPHA / strict F1" in out
         assert "IO vs IOB" in out
+
+    def test_stats_rejects_off_grid_matrix(self, workdir, capsys):
+        path = workdir / "off_grid.tsv"
+        path.write_text("event\tmodel\trepeat\tfold\tstrict_f1\tlenient_f1\n"
+                        "P\tIO\t-1\t0\t0.5\t0.5\n"
+                        "P\tIO\t0\t1\t0.5\t0.5\n", encoding="utf-8")
+        rc = main(["stats", "--matrix", str(path)])
+        assert rc == 1
+        assert "line 2" in capsys.readouterr().err
 
     def test_unknown_model_name(self, corpus_file, capsys):
         rc = main(["crossval", "--input", str(corpus_file),

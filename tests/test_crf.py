@@ -4,11 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spantag import synth
 from spantag.corpus import Sentence, Span, encode_document
 from spantag.crf import (
     BatchedObjective,
     CrfModel,
+    EncodedCorpus,
     FeatureAlphabet,
     Instance,
     Lattice,
@@ -25,7 +29,8 @@ from spantag.crf import (
     viterbi,
 )
 from spantag.errors import ConfigError, ParseError
-from spantag.features import default_template, parse_template
+from spantag.features import (default_template, expand_sentence,
+                               feature_table, parse_template)
 from spantag.schemes import get_scheme
 
 from conftest import build_doc, build_sentence
@@ -146,6 +151,7 @@ def toy_alphabet(n_features, n_labels, transitions):
 
 
 def toy_instances(rng, alphabet, n_sentences, max_len, ragged=False):
+    """Random sentences; two features per position unless ragged."""
     instances = []
     for _ in range(n_sentences):
         n = int(rng.integers(1, max_len + 1))
@@ -162,23 +168,45 @@ def toy_instances(rng, alphabet, n_sentences, max_len, ragged=False):
     return instances
 
 
+def batched(instances, alphabet, C):
+    """The batched objective over fixed-width instances."""
+    encoded = EncodedCorpus(
+        alphabet,
+        np.array([fids for inst in instances for fids in inst.feats],
+                 dtype=np.intp),
+        np.array([len(inst.gold) for inst in instances], dtype=np.intp))
+    gold = np.array([y for inst in instances for y in inst.gold], dtype=np.intp)
+    return BatchedObjective(encoded, gold, C)
+
+
+def check_central_differences(rng, instances, alphabet):
+    w = rng.normal(0.0, 0.5, size=alphabet.dim)
+    _, grad = objective_and_gradient(w, instances, alphabet, C=2.0)
+    h = 1e-6
+    for i in range(alphabet.dim):
+        probe = w.copy()
+        probe[i] = w[i] + h
+        up, _ = objective_and_gradient(probe, instances, alphabet, C=2.0)
+        probe[i] = w[i] - h
+        down, _ = objective_and_gradient(probe, instances, alphabet, C=2.0)
+        numeric = (up - down) / (2 * h)
+        assert abs(grad[i] - numeric) <= 1e-4 * max(1.0, abs(numeric))
+
+
 class TestObjective:
     @pytest.mark.parametrize("transitions", [False, True])
     def test_gradient_matches_central_differences(self, transitions):
         rng = np.random.default_rng(11)
         alphabet = toy_alphabet(5, 3, transitions)
-        instances = toy_instances(rng, alphabet, 6, 5)
-        w = rng.normal(0.0, 0.5, size=alphabet.dim)
-        _, grad = objective_and_gradient(w, instances, alphabet, C=2.0)
-        h = 1e-6
-        for i in range(alphabet.dim):
-            probe = w.copy()
-            probe[i] = w[i] + h
-            up, _ = objective_and_gradient(probe, instances, alphabet, C=2.0)
-            probe[i] = w[i] - h
-            down, _ = objective_and_gradient(probe, instances, alphabet, C=2.0)
-            numeric = (up - down) / (2 * h)
-            assert abs(grad[i] - numeric) <= 1e-4 * max(1.0, abs(numeric))
+        check_central_differences(
+            rng, toy_instances(rng, alphabet, 6, 5), alphabet)
+
+    def test_ragged_gradient_matches_central_differences(self):
+        # zero to three features per position, as at tag time
+        rng = np.random.default_rng(12)
+        alphabet = toy_alphabet(5, 3, transitions=True)
+        check_central_differences(
+            rng, toy_instances(rng, alphabet, 6, 5, ragged=True), alphabet)
 
     def test_zero_weights_objective_is_entropy_plus_nothing(self):
         # with w = 0 every path is equally likely: logZ = n log L per
@@ -191,17 +219,16 @@ class TestObjective:
         assert abs(value - (2 + 1) * np.log(2)) < 1e-12
 
     @pytest.mark.parametrize("transitions", [False, True])
-    @pytest.mark.parametrize("ragged", [False, True])
-    def test_batched_matches_reference(self, transitions, ragged):
-        rng = np.random.default_rng(101 + int(transitions) + 2 * int(ragged))
+    def test_batched_matches_reference(self, transitions):
+        rng = np.random.default_rng(101 + int(transitions))
         alphabet = toy_alphabet(6, 3, transitions)
-        instances = toy_instances(rng, alphabet, 9, 6, ragged=ragged)
-        batched = BatchedObjective(instances, alphabet, C=0.7)
+        instances = toy_instances(rng, alphabet, 9, 6)
+        objective = batched(instances, alphabet, C=0.7)
         for trial in range(5):
             w = rng.normal(0.0, 1.0, size=alphabet.dim)
             want_value, want_grad = objective_and_gradient(
                 w, instances, alphabet, C=0.7)
-            got_value, got_grad = batched(w)
+            got_value, got_grad = objective(w)
             assert abs(got_value - want_value) <= 1e-10 * max(1.0, abs(want_value))
             np.testing.assert_allclose(got_grad, want_grad, atol=1e-10)
 
@@ -210,7 +237,17 @@ class TestObjective:
         instances = [Instance([[0]], [1]), Instance([[1], [0]], [0, 1])]
         w = np.linspace(-1.0, 1.0, alphabet.dim)
         want = objective_and_gradient(w, instances, alphabet, C=1.0)
-        got = BatchedObjective(instances, alphabet, C=1.0)(w)
+        got = batched(instances, alphabet, C=1.0)(w)
+        assert abs(got[0] - want[0]) < 1e-12
+        np.testing.assert_allclose(got[1], want[1], atol=1e-12)
+
+    def test_batched_handles_templates_without_rules(self):
+        # only transition weights: every position has zero node features
+        alphabet = toy_alphabet(0, 3, transitions=True)
+        instances = [Instance([[], [], []], [0, 2, 1]), Instance([[]], [2])]
+        w = np.linspace(-1.0, 1.0, alphabet.dim)
+        want = objective_and_gradient(w, instances, alphabet, C=1.0)
+        got = batched(instances, alphabet, C=1.0)(w)
         assert abs(got[0] - want[0]) < 1e-12
         np.testing.assert_allclose(got[1], want[1], atol=1e-12)
 
@@ -233,31 +270,42 @@ class TestInstances:
     def test_gold_labels_follow_scheme_encoding(self):
         docs = separable_docs(1)
         scheme = get_scheme("IOB")
-        template = default_template(transitions=True)
-        alphabet = build_alphabet(docs, template, scheme)
-        instances = make_instances(docs, template, alphabet, scheme, "PROBLEM")
+        gold = make_instances(docs, scheme, "PROBLEM")
         rows = encode_document(docs[0], scheme, "PROBLEM")
         label_id = {lab: y for y, lab in enumerate(scheme.labels)}
-        assert [inst.gold for inst in instances] == [
-            [label_id[lab] for lab in row] for row in rows]
+        assert gold.tolist() == [label_id[lab] for row in rows for lab in row]
 
     def test_every_position_gets_all_template_rules(self):
         docs = separable_docs(1)
         template = default_template()
-        alphabet = build_alphabet(docs, template, get_scheme("IO"))
-        instances = make_instances(docs, template, alphabet,
-                                   get_scheme("IO"), "PROBLEM")
-        for inst in instances:
-            assert all(len(fids) == len(template.rules) for fids in inst.feats)
+        encoded = build_alphabet(docs, template, get_scheme("IO"))
+        tokens = sum(len(s.tokens) for s in docs[0].sentences)
+        assert encoded.ids.shape == (tokens, len(template.rules))
+        assert encoded.lengths.tolist() == [3, 4]
 
-    def test_unseen_feature_rejected_while_training(self):
-        docs = separable_docs(1)
-        scheme = get_scheme("IO")
-        template = default_template()
-        alphabet = build_alphabet(docs, template, scheme)
-        other = [build_doc("new", [build_sentence(("novel", "NN", "B-NP"))])]
-        with pytest.raises(ConfigError):
-            make_instances(other, template, alphabet, scheme, "PROBLEM")
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 3),
+           transitions=st.booleans())
+    def test_matrix_maps_back_to_expanded_features(self, seed, n_docs,
+                                                   transitions):
+        docs = synth.generate(synth.default_profile(), seed, n_docs)
+        template = default_template(transitions)
+        encoded = build_alphabet(docs, template, get_scheme("IOBW"))
+        sentences = [s for d in docs for s in d.sentences if s.tokens]
+        tokens = sum(len(s.tokens) for s in sentences)
+        assert encoded.ids.shape == (tokens, len(template.rules))
+        assert encoded.lengths.tolist() == [len(s.tokens) for s in sentences]
+        strings = encoded.alphabet.feature_strings()
+        at = 0
+        for sentence in sentences:
+            rows = encoded.ids[at:at + len(sentence.tokens)]
+            assert [[strings[i] for i in row] for row in rows] == \
+                expand_sentence(template, feature_table(sentence))
+            at += len(sentence.tokens)
+        # ids are numbered by first occurrence in row-major order
+        flat = encoded.ids.ravel()
+        _, first = np.unique(flat, return_index=True)
+        assert flat[np.sort(first)].tolist() == list(range(len(strings)))
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
@@ -270,10 +318,11 @@ class TestInstances:
                           [Span(1, 0, 1, "PROBLEM")])]
         scheme = get_scheme("IOB")
         template = default_template()
-        alphabet = build_alphabet(docs, template, scheme)
-        instances = make_instances(docs, template, alphabet, scheme, "PROBLEM")
-        assert len(instances) == 1
-        assert instances[0].gold == [scheme.labels.index("B")]
+        encoded = build_alphabet(docs, template, scheme)
+        assert encoded.lengths.tolist() == [1]
+        assert encoded.ids.shape == (1, len(template.rules))
+        gold = make_instances(docs, scheme, "PROBLEM")
+        assert gold.tolist() == [scheme.labels.index("B")]
 
 
 # --- training ----------------------------------------------------------------
@@ -426,6 +475,61 @@ class TestModelFile:
         lines[first], lines[first + block] = lines[first + block], lines[first]
         with pytest.raises(ParseError) as exc:
             load_model("\n".join(lines) + "\n")
+        assert "does not match layout" in str(exc.value)
+
+    @pytest.mark.parametrize("keep", [1, 2, 3, 4, 5, 6, 7, 20, 38])
+    def test_rejects_file_cut_inside_header(self, trained, keep):
+        _, model = trained
+        lines = save_model(model).splitlines()
+        with pytest.raises(ParseError) as exc:
+            load_model("\n".join(lines[:keep]) + "\n")
+        assert exc.value.line == keep + 1
+
+    def test_rejects_unknown_transitions_value(self):
+        # without a "B" template line, "yes" would not disagree with the
+        # template; the flag itself must be rejected
+        scheme = get_scheme("IO")
+        alphabet = FeatureAlphabet(scheme.labels, transitions=False)
+        alphabet.add("U00=alpha")
+        model = CrfModel(alphabet, np.zeros(alphabet.dim), scheme,
+                         parse_template("U00:%x[0,1]\n"), "TEST")
+        text = save_model(model).replace("transitions = false",
+                                         "transitions = yes", 1)
+        with pytest.raises(ParseError) as exc:
+            load_model(text)
+        assert exc.value.line == 4
+        assert "true or false" in str(exc.value)
+
+    def test_rejects_unknown_scheme(self, trained):
+        _, model = trained
+        text = save_model(model).replace("scheme = IOB", "scheme = IOX", 1)
+        with pytest.raises(ParseError) as exc:
+            load_model(text)
+        assert exc.value.line == 2
+        assert "unknown scheme" in str(exc.value)
+
+    @pytest.mark.parametrize("value", ["nan", "1e999", "-inf"])
+    def test_rejects_non_finite_weight(self, trained, value):
+        _, model = trained
+        lines = save_model(model).splitlines()
+        first = next(i for i, line in enumerate(lines)
+                     if line.startswith("features = ")) + 1
+        idx, feat, lab, _ = lines[first].split("\t")
+        lines[first] = "\t".join([idx, feat, lab, value])
+        with pytest.raises(ParseError) as exc:
+            load_model("\n".join(lines) + "\n")
+        assert exc.value.line == first + 1
+        assert "non-finite" in str(exc.value)
+
+    def test_rejects_repeated_row(self, trained):
+        # a repeated transition row in place of the next one would leave
+        # that weight at zero
+        _, model = trained
+        lines = save_model(model).splitlines()
+        lines[-1] = lines[-2]
+        with pytest.raises(ParseError) as exc:
+            load_model("\n".join(lines) + "\n")
+        assert exc.value.line == len(lines)
         assert "does not match layout" in str(exc.value)
 
     def test_rejects_truncated_rows(self, trained):

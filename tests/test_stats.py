@@ -218,6 +218,39 @@ class TestRunMatrix:
         with pytest.raises(ParseError):
             parse_matrix(text)
 
+    def test_parse_rejects_negative_index(self):
+        text = ("event\tmodel\trepeat\tfold\tstrict_f1\tlenient_f1\n"
+                "P\tIO\t-1\t0\t0.5\t0.5\n"
+                "P\tIO\t0\t1\t0.5\t0.5\n")
+        with pytest.raises(ParseError) as exc:
+            parse_matrix(text)
+        assert exc.value.line == 2
+        assert "non-negative" in str(exc.value)
+
+    @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
+    def test_parse_rejects_f1_outside_unit_interval(self, value):
+        lines = small_matrix().tsv().splitlines()
+        lines[2] = lines[2].replace("0.72\t", f"{value}\t", 1)
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("\n".join(lines) + "\n")
+        assert exc.value.line == 3
+
+    def test_parse_rejects_duplicate_cell(self):
+        lines = small_matrix().tsv().splitlines()
+        lines.append(lines[1].replace("0.7\t", "0.1\t", 1))
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("\n".join(lines) + "\n")
+        assert exc.value.line == len(lines)
+        assert "duplicate" in str(exc.value)
+
+    def test_parse_error_line_counts_blank_lines(self):
+        lines = small_matrix().tsv().splitlines()
+        lines[3] = "\t".join(lines[3].split("\t")[:5])
+        lines.insert(1, "")
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("\n".join(lines) + "\n")
+        assert exc.value.line == 5
+
     def test_parse_rejects_incomplete_cells(self):
         lines = small_matrix().tsv().splitlines()
         with pytest.raises(ParseError) as exc:
