@@ -11,10 +11,20 @@ L2-regularized negative log-likelihood
     f(w) = -sum_s log p(y_s | x_s; w) + ||w||^2 / (2C)
 
 with L-BFGS over that matrix, so larger C means weaker regularization.
+
+Training and tagging share one lattice layout, ``TimeMajor``: the
+sentences of a batch stored one time step after another, so that each
+step of forward-backward or Viterbi works on a contiguous block of rows.
+``BatchedObjective`` runs over a whole training corpus, and
+``CrfModel.tag`` decodes all sentences of a document as one batch.  The
+per-sentence ``Lattice``, ``forward_backward``, ``viterbi``,
+``instance_lattice`` and ``objective_and_gradient`` are the reference
+implementations that the tests compare the batched paths against.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -37,8 +47,9 @@ class TrainerConfig:
 
     def __post_init__(self):
         for name in ("C", "eta", "max_iterations", "lbfgs_memory"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite")
 
 
 # --- lattice inference --------------------------------------------------
@@ -59,9 +70,10 @@ class Lattice:
 
 
 def _logsumexp(a, axis):
-    hi = np.max(a, axis=axis, keepdims=True)
-    out = hi + np.log(np.sum(np.exp(a - hi), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+    hi = a.max(axis=axis, keepdims=True)
+    e = a - hi
+    np.exp(e, out=e)
+    return hi.squeeze(axis) + np.log(e.sum(axis=axis))
 
 
 def forward_backward(lat: Lattice):
@@ -222,7 +234,7 @@ def build_alphabet(docs: list[Document], template: FeatureTemplate,
         np.array(lengths, dtype=np.intp))
 
 
-# --- training labels and tag-time instances -------------------------------
+# --- gold labels, and sentences for the reference objective ---------------
 
 def make_instances(docs: list[Document], scheme: Scheme,
                    event_type: str) -> np.ndarray:
@@ -241,7 +253,7 @@ class Instance:
     gold: list[int]
 
 
-# --- objective: reference (per-sentence) path ------------------------------
+# --- objective: reference (per-sentence) path, a test oracle ----------------
 
 def _unpack(weights, alphabet):
     L = alphabet.n_labels
@@ -299,6 +311,106 @@ def objective_and_gradient(weights: np.ndarray, instances: list[Instance],
     return value, grad
 
 
+# --- time-major lattice layout (training and decoding) ---------------------
+
+class TimeMajor:
+    """A batch of sentences laid out one time step after another.
+
+    Sentences are ordered by length (descending, stable), so the ones
+    still active at step t are a prefix s < active[t]; empty sentences
+    take no rows.  Row off[t] + s holds step t of sentence s: step t is
+    the contiguous block [off[t], off[t+1]), and the previous steps of
+    its sentences are the first active[t] rows of block t-1.  ``rows[r]``
+    is the position of row r in the concatenation of the sentences in
+    their given order, and ``last[s]`` the row of sentence s's last step.
+    """
+
+    def __init__(self, lengths: np.ndarray):
+        order = np.argsort(-lengths, kind="stable")[:np.count_nonzero(lengths)]
+        sorted_lengths = lengths[order]
+        n_steps = int(sorted_lengths[0]) if len(order) else 0
+        self.active = np.searchsorted(-sorted_lengths, -(np.arange(n_steps) + 1),
+                                      side="right")
+        self.off = np.concatenate(([0], np.cumsum(self.active)))
+        self.last = self.off[sorted_lengths - 1] + np.arange(len(order))
+        # sentence of each row: 0..active[t]-1 within block t
+        self.sentence = np.arange(self.off[-1]) - np.repeat(self.off[:-1],
+                                                            self.active)
+        starts = (np.cumsum(lengths) - lengths)[order]
+        self.rows = (starts[self.sentence]
+                     + np.repeat(np.arange(n_steps), self.active))
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.active)
+
+    def block(self, t: int, k: int | None = None) -> slice:
+        """Rows of step t, or of its first k sentences."""
+        lo = self.off[t]
+        return slice(lo, self.off[t + 1] if k is None else lo + k)
+
+
+_GATHER_POSITIONS = 512  # per gather; keeps its temporary cache-sized
+
+
+def _node_scores(w_node: np.ndarray, ids: np.ndarray,
+                 unseen: bool = False) -> np.ndarray:
+    """Summed weight rows of each position's feature ids; row p of the
+    (positions, rules) matrix ``ids`` holds the ids of position p.  With
+    ``unseen``, an id of -1 marks a feature unseen in training, which
+    scores zero."""
+    n, n_rules = ids.shape
+    node = np.zeros((n, w_node.shape[1]))
+    if not (n_rules and len(w_node)):  # no rules, or no feature weights
+        return node
+    starts = np.arange(_GATHER_POSITIONS) * n_rules
+    for lo in range(0, n, _GATHER_POSITIONS):
+        part = ids[lo:lo + _GATHER_POSITIONS].ravel()
+        rows = np.take(w_node, part, axis=0)
+        if unseen:
+            rows[part < 0] = 0.0
+        node[lo:lo + _GATHER_POSITIONS] = np.add.reduceat(
+            rows, starts[:len(part) // n_rules], axis=0)
+    return node
+
+
+def batch_viterbi(node: np.ndarray, lengths: np.ndarray, w_trans) -> np.ndarray:
+    """Best label of every position of a batch of sentences.
+
+    ``node`` stacks the (n, L) node scores of the sentences in order, and
+    ``lengths`` gives their token counts.  Each sentence gets the path
+    ``viterbi`` finds on its own lattice (ties resolved to the lowest
+    index), with ``w_trans`` (or nothing) on every edge.
+    """
+    tm = TimeMajor(lengths)
+    node = node[tm.rows]
+    path = np.empty(len(node), dtype=np.intp)
+    if not tm.n_steps:
+        return path
+    delta = np.empty_like(node)
+    back = np.empty(node.shape, dtype=np.intp)  # block 0 is never read
+    first = tm.block(0)
+    delta[first] = node[first]
+    for t in range(1, tm.n_steps):
+        prev = delta[tm.block(t - 1, tm.active[t])]
+        cur = tm.block(t)
+        if w_trans is None:
+            back[cur] = np.argmax(prev, axis=1)[:, None]
+            delta[cur] = node[cur] + np.max(prev, axis=1)[:, None]
+        else:
+            scores = prev[:, :, None] + w_trans[None]
+            back[cur] = np.argmax(scores, axis=1)  # first max = lowest index
+            delta[cur] = node[cur] + np.max(scores, axis=1)
+    path[tm.last] = np.argmax(delta[tm.last], axis=1)
+    for t in range(tm.n_steps - 2, -1, -1):
+        k = tm.active[t + 1]
+        nxt = tm.block(t + 1)
+        path[tm.block(t, k)] = back[nxt][np.arange(k), path[nxt]]
+    out = np.empty_like(path)
+    out[tm.rows] = path
+    return out
+
+
 # --- objective: batched path (used by train) -------------------------------
 
 class BatchedObjective:
@@ -306,12 +418,14 @@ class BatchedObjective:
 
     Takes the fixed-width id matrix of ``build_alphabet`` and the gold
     ids of ``make_instances``.  Sentences are re-sorted by length
-    (descending, stable) so that at time step t the active sentences are
-    a prefix; positions live in one flat array addressed by precomputed
-    per-step index vectors, and the feature ids of position p are the
-    flat slice [p*R, (p+1)*R) for R template rules.  Empirical counts do
-    not depend on the weights and are folded into one constant vector,
-    so f(w) = sum logZ_s - w . emp + ||w||^2/(2C).
+    (descending, stable), and row p of ``ids`` holds the feature ids of
+    position p of that order.  The node scores are gathered and the node
+    gradient accumulated in this position order, which fixes their
+    summation order; forward, backward and the transition expectations
+    run on the ``TimeMajor`` layout, where each time step is one
+    contiguous block of rows.  Empirical counts do not depend on the
+    weights and are folded into one constant vector, so
+    f(w) = sum logZ_s - w . emp + ||w||^2/(2C).
     """
 
     def __init__(self, encoded: EncodedCorpus, gold: np.ndarray, C: float):
@@ -321,30 +435,25 @@ class BatchedObjective:
         self.L = alphabet.n_labels
         self.n_rules = encoded.ids.shape[1]
         order = np.argsort(-encoded.lengths, kind="stable")
-        self.lengths = encoded.lengths[order]
-        self.max_len = int(self.lengths[0]) if len(order) else 0
-        starts = np.cumsum(self.lengths) - self.lengths
+        lengths = encoded.lengths[order]
+        starts = np.cumsum(lengths) - lengths
         # position p of the sorted layout comes from row perm[p] of the input
         starts_in = np.cumsum(encoded.lengths) - encoded.lengths
-        perm = (np.repeat(starts_in[order] - starts, self.lengths)
+        perm = (np.repeat(starts_in[order] - starts, lengths)
                 + np.arange(len(gold)))
-        self.fids = encoded.ids[perm].ravel()
-        self.fid_starts = np.arange(len(gold)) * self.n_rules
+        self.ids = encoded.ids[perm]
         gold = gold[perm]
-
-        # per-step active prefix size and flat position indices
-        self.active = np.searchsorted(-self.lengths, -(np.arange(self.max_len) + 1),
-                                      side="right")
-        self.step_idx = [starts[:k] + t
-                         for t, k in enumerate(self.active)]
-        self.last_idx = starts + self.lengths - 1
-        self.sent_of_pos = np.repeat(np.arange(len(order)), self.lengths)
+        # already sorted, so the time-major rows index the sorted positions
+        self.tm = TimeMajor(lengths)
+        self.sorted_row = np.empty_like(self.tm.rows)
+        self.sorted_row[self.tm.rows] = np.arange(len(self.tm.rows))
 
         # constant empirical-count vector; integer counts, so the order of
         # accumulation does not matter
         emp = np.zeros(alphabet.dim)
         e_node = emp[:alphabet.n_features * self.L].reshape(-1, self.L)
-        np.add.at(e_node, (self.fids, np.repeat(gold, self.n_rules)), 1.0)
+        np.add.at(e_node, (self.ids.ravel(), np.repeat(gold, self.n_rules)),
+                  1.0)
         if alphabet.transitions:
             e_trans = emp[alphabet.trans_base():].reshape(self.L, self.L)
             nxt = np.delete(np.arange(len(gold)), starts)  # non-first positions
@@ -354,51 +463,53 @@ class BatchedObjective:
     def __call__(self, weights: np.ndarray):
         a = self.alphabet
         L = self.L
+        tm = self.tm
         w_node, w_trans = _unpack(weights, a)
-        # node scores for every position (a template without rules has none)
-        node = (np.add.reduceat(w_node[self.fids], self.fid_starts, axis=0)
-                if self.fids.size else np.zeros((len(self.fid_starts), L)))
-        alpha = np.zeros_like(node)
-        beta = np.zeros_like(node)
+        node = _node_scores(w_node, self.ids)[tm.rows]
+        alpha = np.empty_like(node)
+        beta = np.zeros_like(node)  # zero at every sentence's last step
+        nb = np.empty_like(node)  # node + beta, the backward messages
 
-        idx0 = self.step_idx[0] if self.max_len else np.zeros(0, dtype=np.intp)
-        alpha[idx0] = node[idx0]
-        for t in range(1, self.max_len):
-            idx = self.step_idx[t]
-            prev = alpha[self.step_idx[t - 1][:len(idx)]]
+        first = tm.block(0)
+        alpha[first] = node[first]
+        for t in range(1, tm.n_steps):
+            prev = alpha[tm.block(t - 1, tm.active[t])]
+            cur = tm.block(t)
             if w_trans is None:
-                alpha[idx] = node[idx] + _logsumexp(prev, axis=1)[:, None]
+                alpha[cur] = node[cur] + _logsumexp(prev, axis=1)[:, None]
             else:
-                alpha[idx] = node[idx] + _logsumexp(
+                alpha[cur] = node[cur] + _logsumexp(
                     prev[:, :, None] + w_trans[None], axis=1)
-        beta[self.last_idx] = 0.0
-        for t in range(self.max_len - 2, -1, -1):
-            k_next = self.active[t + 1]
-            idx = self.step_idx[t][:k_next]
-            nxt = self.step_idx[t + 1]
-            nb = node[nxt] + beta[nxt]
+        for t in range(tm.n_steps - 2, -1, -1):
+            nxt = tm.block(t + 1)
+            np.add(node[nxt], beta[nxt], out=nb[nxt])
+            cur = tm.block(t, tm.active[t + 1])
             if w_trans is None:
-                beta[idx] = _logsumexp(nb, axis=1)[:, None]
+                beta[cur] = _logsumexp(nb[nxt], axis=1)[:, None]
             else:
-                beta[idx] = _logsumexp(w_trans[None] + nb[:, None, :], axis=2)
+                beta[cur] = _logsumexp(w_trans[None] + nb[nxt][:, None, :],
+                                       axis=2)
 
-        log_z = _logsumexp(alpha[self.last_idx], axis=1)
-        marg = np.exp(alpha + beta - log_z[self.sent_of_pos][:, None])
+        log_z = _logsumexp(alpha[tm.last], axis=1)
+        marg = np.exp(alpha + beta - log_z[tm.sentence][:, None])
+        marg_t = marg[self.sorted_row].T
 
         grad = np.zeros_like(weights)
         g_node = grad[:a.n_features * L].reshape(-1, L)
-        contrib = np.repeat(marg, self.n_rules, axis=0)
+        fids = self.ids.ravel()
         for y in range(L):
-            g_node[:, y] = np.bincount(self.fids, weights=contrib[:, y],
-                                       minlength=a.n_features)
+            g_node[:, y] = np.bincount(
+                fids, weights=np.repeat(marg_t[y], self.n_rules),
+                minlength=a.n_features)
         if w_trans is not None:
             g_trans = grad[a.trans_base():].reshape(L, L)
-            for t in range(1, self.max_len):
-                idx = self.step_idx[t]
-                prev = self.step_idx[t - 1][:len(idx)]
-                em = np.exp(alpha[prev][:, :, None] + w_trans[None]
-                            + (node[idx] + beta[idx])[:, None, :]
-                            - log_z[self.sent_of_pos[idx]][:, None, None])
+            for t in range(1, tm.n_steps):
+                k = tm.active[t]
+                cur = tm.block(t)
+                em = alpha[tm.block(t - 1, k)][:, :, None] + w_trans[None]
+                em += nb[cur][:, None, :]
+                em -= log_z[:k][:, None, None]
+                np.exp(em, out=em)
                 g_trans += em.sum(axis=0)
 
         value = float(log_z.sum()) - float(np.dot(weights, self.empirical))
@@ -421,21 +532,30 @@ class CrfModel:
     event_type: str
     log: optim.IterationLog | None = field(default=None, repr=False)
 
-    def tag_sentence(self, sentence) -> list[str]:
-        if not sentence.tokens:
-            return []
-        w_node, w_trans = _unpack(self.weights, self.alphabet)
-        # features unseen in training are dropped and so score zero
-        fids = [[fid for fid in map(self.alphabet.feature_id, feats)
-                 if fid is not None]
+    def _decode(self, sentences) -> list[list[str]]:
+        # a feature unseen in training gets id -1 and scores zero
+        get, unseen = self.alphabet.feat_index.get, repeat(-1)
+        ids: list[int] = []
+        for sentence in sentences:
+            if sentence.tokens:
                 for feats in expand_sentence(self.template,
-                                             feature_table(sentence))]
-        lat = instance_lattice(Instance(fids, [0] * len(fids)), w_node, w_trans)
-        path = viterbi(lat)
-        return [self.alphabet.labels[y] for y in path]
+                                             feature_table(sentence)):
+                    ids.extend(map(get, feats, unseen))
+        lengths = np.array([len(s.tokens) for s in sentences], dtype=np.intp)
+        w_node, w_trans = _unpack(self.weights, self.alphabet)
+        node = _node_scores(w_node, np.array(ids, dtype=np.intp).reshape(
+            lengths.sum(), len(self.template.rules)), unseen=True)
+        path = batch_viterbi(node, lengths, w_trans)
+        labels = np.array(self.alphabet.labels, dtype=object)[path].tolist()
+        ends = np.cumsum(lengths).tolist()
+        return [labels[end - n:end] for n, end in zip(lengths.tolist(), ends)]
+
+    def tag_sentence(self, sentence) -> list[str]:
+        return self._decode([sentence])[0]
 
     def tag(self, doc: Document) -> list[list[str]]:
-        return [self.tag_sentence(s) for s in doc.sentences]
+        """Label rows of every sentence, decoded as one batch."""
+        return self._decode(doc.sentences)
 
 
 def train(docs: list[Document], template: FeatureTemplate, scheme: Scheme,
@@ -522,7 +642,10 @@ def load_model(text: str) -> CrfModel:
     if len(lines) < 6 + template_lines:
         raise ParseError("file ends inside the template", len(lines) + 1)
     template_text = "\n".join(lines[6:6 + template_lines]) + "\n"
-    template = parse_template(template_text)
+    try:
+        template = parse_template(template_text)
+    except ParseError as exc:  # a template line number; the file's is 6 more
+        raise ParseError(exc.reason, exc.line + 6) from None
     if template.transitions != transitions:
         raise ParseError("transitions flag disagrees with template", 4)
     cursor = 6 + template_lines

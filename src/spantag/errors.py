@@ -9,6 +9,7 @@ class ParseError(SpantagError):
     """Malformed input file (column files, templates, profiles, models)."""
 
     def __init__(self, message: str, line: int | None = None):
+        self.reason = message
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"

@@ -144,6 +144,36 @@ def expand(template: FeatureTemplate, table: list[tuple[str, ...]],
     return out
 
 
+# boundary sentinels of rows -4..-1 and n..n+3, as ``expand`` writes them
+_BEFORE = tuple(f"_B{r}" for r in range(-MAX_OFFSET, 0))
+_AFTER = tuple(f"_B+{k}" for k in range(1, MAX_OFFSET + 1))
+
+
 def expand_sentence(template: FeatureTemplate,
                     table: list[tuple[str, ...]]) -> list[list[str]]:
-    return [expand(template, table, i) for i in range(len(table))]
+    """``expand`` at every position, built one rule column at a time."""
+    n = len(table)
+    if not n:
+        return []
+    # column c padded with sentinels: row r of the sentence is entry r + 4
+    padded = [_BEFORE + column + _AFTER for column in zip(*table)]
+    try:
+        strings = [_rule_column(rule, padded, n) for rule in template.rules]
+    except IndexError:
+        # a column past some row's width (zip stops at the narrowest row):
+        # the position-wise expansion raises the error if a row inside
+        # the sentence needs that column
+        return [expand(template, table, i) for i in range(n)]
+    if not strings:
+        return [[] for _ in range(n)]
+    return [list(feats) for feats in zip(*strings)]
+
+
+def _rule_column(rule: Rule, padded: list[tuple[str, ...]], n: int) -> list[str]:
+    """The feature strings of one rule at positions 0..n-1."""
+    prefix = rule.id + "="
+    values = [padded[col][MAX_OFFSET + row:MAX_OFFSET + row + n]
+              for row, col in rule.cells]
+    if len(values) == 1:
+        return [prefix + v for v in values[0]]
+    return [prefix + "/".join(cells) for cells in zip(*values)]

@@ -1,6 +1,8 @@
 """Linear-chain model: inference vs enumeration, training, serialization."""
 
+import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spantag import synth
-from spantag.corpus import Sentence, Span, encode_document
+from spantag.corpus import (Document, Sentence, Span, encode_document,
+                            write_column_file)
 from spantag.crf import (
     BatchedObjective,
     CrfModel,
@@ -17,6 +20,7 @@ from spantag.crf import (
     Instance,
     Lattice,
     TrainerConfig,
+    batch_viterbi,
     build_alphabet,
     forward_backward,
     instance_lattice,
@@ -31,6 +35,7 @@ from spantag.crf import (
 from spantag.errors import ConfigError, ParseError
 from spantag.features import (default_template, expand_sentence,
                                feature_table, parse_template)
+from spantag.postprocess import pipeline_spans
 from spantag.schemes import get_scheme
 
 from conftest import build_doc, build_sentence
@@ -388,6 +393,7 @@ class TestTraining:
     @pytest.mark.parametrize("kwargs", [
         {"C": 0.0}, {"C": -1.0}, {"eta": 0.0},
         {"max_iterations": 0}, {"lbfgs_memory": 0},
+        {"C": math.nan}, {"C": math.inf}, {"eta": math.nan}, {"eta": math.inf},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -532,6 +538,16 @@ class TestModelFile:
         assert exc.value.line == len(lines)
         assert "does not match layout" in str(exc.value)
 
+    def test_template_error_carries_model_file_line(self, trained):
+        _, model = trained
+        lines = save_model(model).splitlines()
+        assert lines[6] == "U00:%x[-2,1]"  # the template starts on line 7
+        lines[6] = "U00:%x[0,9"
+        with pytest.raises(ParseError) as exc:
+            load_model("\n".join(lines) + "\n")
+        assert exc.value.line == 7
+        assert str(exc.value).startswith("line 7: malformed rule")
+
     def test_rejects_truncated_rows(self, trained):
         _, model = trained
         lines = save_model(model).splitlines()
@@ -561,3 +577,113 @@ class TestInstanceLattice:
         assert lat.edge.shape == (2, 2, 2)
         np.testing.assert_allclose(lat.edge[0], w_trans)
         np.testing.assert_allclose(lat.edge[1], w_trans)
+
+
+# --- batched decoding -----------------------------------------------------------
+
+class TestBatchViterbi:
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("with_edges", [False, True])
+    def test_matches_per_sentence_viterbi(self, with_edges, ties):
+        rng = np.random.default_rng(31 + 2 * int(with_edges) + int(ties))
+
+        def draw(shape):
+            if ties:  # scores from {-1, 0, 1} tie exactly and often
+                return rng.integers(-1, 2, size=shape).astype(float)
+            return rng.normal(0.0, 2.0, size=shape)
+
+        for _ in range(25):
+            n_labels = int(rng.integers(2, 5))
+            lengths = rng.permutation(np.concatenate(
+                ([0, 1], rng.integers(0, 6, size=int(rng.integers(0, 6))))))
+            node = draw((int(lengths.sum()), n_labels))
+            w_trans = draw((n_labels, n_labels)) if with_edges else None
+            got = batch_viterbi(node, lengths, w_trans)
+            assert got.shape == (lengths.sum(),)
+            at = 0
+            for n in lengths:
+                edge = (None if w_trans is None else
+                        np.broadcast_to(w_trans, (max(n - 1, 0),) + w_trans.shape))
+                lat = Lattice(node[at:at + n], edge)
+                want = viterbi(lat)
+                assert got[at:at + n].tolist() == want
+                if n:
+                    assert want == brute_force(lat)[3]
+                at += n
+
+    def test_no_positions(self):
+        assert batch_viterbi(np.zeros((0, 3)), np.array([0, 0]), None).size == 0
+
+
+def oracle_tags(model, sentence):
+    """The per-sentence decoder: known features only, then ``viterbi``."""
+    a = model.alphabet
+    L = a.n_labels
+    w_node = model.weights[:a.trans_base()].reshape(-1, L)
+    w_trans = (model.weights[a.trans_base():].reshape(L, L)
+               if a.transitions else None)
+    fids = [[fid for fid in map(a.feature_id, feats) if fid is not None]
+            for feats in expand_sentence(model.template, feature_table(sentence))]
+    lat = instance_lattice(Instance(fids, [0] * len(fids)), w_node, w_trans)
+    return [a.labels[y] for y in viterbi(lat)]
+
+
+class TestModelTagging:
+    @pytest.mark.parametrize("transitions", [False, True])
+    def test_tag_matches_per_sentence_oracle(self, transitions):
+        docs = synth.generate(synth.default_profile(), 5, 10)
+        model = train(docs[:4], default_template(transitions),
+                      get_scheme("IOBW"), "PROBLEM",
+                      TrainerConfig(max_iterations=20))
+        assert model.alphabet.transitions == transitions
+        for doc in docs[4:]:
+            # held-out documents carry features unseen in training
+            sentences = [Sentence([]), *doc.sentences[:2], Sentence([]),
+                         *doc.sentences[2:], Sentence([])]
+            padded = Document(doc.id, sentences, [])
+            got = model.tag(padded)
+            assert got == [oracle_tags(model, s) for s in sentences]
+            assert got[0] == got[3] == got[-1] == []
+
+    def test_model_without_feature_weights(self):
+        # a model file may list no features: every position scores zero
+        # and only the transitions decide
+        scheme = get_scheme("IOB")
+        alphabet = FeatureAlphabet(scheme.labels, transitions=True)
+        weights = np.array([0.0, -1.0, 2.0, 0.5, 0.0, -3.0, 1.0, 0.0, 0.0])
+        model = CrfModel(alphabet, weights, scheme,
+                         parse_template("U00:%x[0,1]\nB\n"), "TEST")
+        doc = Document("d", list(separable_docs(1)[0].sentences), [])
+        assert model.tag(doc) == [oracle_tags(model, s) for s in doc.sentences]
+
+    def test_document_without_tokens(self, trained):
+        _, model = trained
+        doc = Document("empty", [Sentence([]), Sentence([])], [])
+        assert model.tag(doc) == [[], []]
+
+
+# --- pinned end-to-end bytes -----------------------------------------------------
+
+def test_golden_digests():
+    """synth -> train -> save_model -> load_model -> tag -> write_column_file.
+
+    The digests were computed before the batched decoder and the
+    time-major objective replaced the per-sentence paths, so they pin the
+    output bytes across such rewrites.  They hold for one numpy build: a
+    different exp/log implementation may change the last bits of the
+    weights, and the digests must then be recomputed on the parent commit.
+    """
+    docs = synth.generate(synth.default_profile(), 2024, 30)
+    model = train(docs[:20], default_template(transitions=True),
+                  get_scheme("IOBW"), "PROBLEM", TrainerConfig(max_iterations=15))
+    text = save_model(model)
+    clone = load_model(text)
+    tagged = [Document(d.id, d.sentences,
+                       pipeline_spans(clone.tag(d), d, clone.scheme, "PROBLEM",
+                                      mode="iobw+"))
+              for d in docs[20:]]
+    out = write_column_file(tagged, clone.scheme, ["PROBLEM"])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "12ff0d050d887ead75e4a6774b5453c6c2e5dbb48ab9158e10844f5353b3988d")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a906f8cd2728672c0280059309ed303829e2d149fcbb43036f822dbe5d584a8f")

@@ -1,6 +1,8 @@
 """Feature template DSL: parsing, expansion, boundary sentinels."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spantag.errors import ConfigError, ParseError
 from spantag.features import (DEFAULT_TEMPLATE_TEXT, default_template, expand,
@@ -122,9 +124,37 @@ class TestExpand:
         template = parse_template("U00:%x[0,7]\n")
         with pytest.raises(ConfigError):
             expand(template, feature_table(sent), 0)
+        with pytest.raises(ConfigError,
+                           match="rule U00 references column 7, table has 6"):
+            expand_sentence(template, feature_table(sent))
+
+    def test_column_beyond_table_outside_sentence_is_not_checked(self, sent):
+        # every row the rule reads lies past the sentence's end
+        template = parse_template("U00:%x[0,1]\nU01:%x[4,7]\n")
+        table = feature_table(sent)[:2]
+        assert expand_sentence(template, table) == [
+            ["U00=the", "U01=_B+3"], ["U00=chest", "U01=_B+4"]]
+
+    def test_template_without_rules(self, sent):
+        template = parse_template("B\n")
+        assert expand_sentence(template, feature_table(sent)) == [[]] * 5
 
     def test_expand_sentence_matches_positionwise(self, sent):
         template = default_template()
         table = feature_table(sent)
         rows = expand_sentence(template, table)
         assert rows == [expand(template, table, i) for i in range(5)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6),
+           rules=st.lists(st.lists(st.tuples(st.integers(-4, 4),
+                                             st.integers(1, 6)),
+                                   min_size=1, max_size=3), max_size=5))
+    def test_expand_sentence_matches_expand(self, n, rules):
+        table = [tuple(f"r{r}c{c}" for c in range(7)) for r in range(n)]
+        text = "".join(
+            f"U{i}:" + "/".join(f"%x[{row},{col}]" for row, col in cells) + "\n"
+            for i, cells in enumerate(rules))
+        template = parse_template(text)
+        assert expand_sentence(template, table) == [
+            expand(template, table, i) for i in range(n)]
