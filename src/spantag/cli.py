@@ -125,11 +125,9 @@ def cmd_crossval(args) -> int:
     cv = stats.CvConfig(repeats=args.repeats, folds=args.folds,
                         seed=args.seed, models=_parse_list(args.models),
                         event_types=types)
-    template = (None if args.template is None and not args.no_transitions
-                else _load_template(args))
     matrix = stats.crossval(docs, cv, trainer=_trainer_config(args),
-                            template=template, expander=_load_expander(args),
-                            jobs=args.jobs)
+                            template=_load_template(args),
+                            expander=_load_expander(args), jobs=args.jobs)
     tsv = matrix.tsv()
     if args.matrix is not None:
         _write_text(args.matrix, tsv)

@@ -215,10 +215,11 @@ def parse_column_file(text: str) -> list[Document]:
     """Parse a column-format stream into documents.
 
     Tokens appearing before any `#! doc` directive go into an implicit
-    document with id "doc0".
+    document with id "doc0".  Document ids must be unique.
     """
     spec: _ColumnSpec | None = None
     docs: list[Document] = []
+    doc_ids: set[str] = set()
     builder: _DocBuilder | None = None
     rows: list[tuple[int, list[str]]] = []
 
@@ -287,8 +288,12 @@ def parse_column_file(text: str) -> list[Document]:
             elif key == "doc":
                 if not value:
                     raise ParseError("empty document id", line_no)
+                if value in doc_ids:
+                    raise ParseError(f"duplicate document id {value!r}",
+                                     line_no)
                 flush_doc()
                 builder = _DocBuilder(value)
+                doc_ids.add(value)
             else:
                 raise ParseError(f"unknown directive {key!r}", line_no)
         elif not raw.strip():
@@ -303,6 +308,7 @@ def parse_column_file(text: str) -> list[Document]:
                     line_no)
             if builder is None:
                 builder = _DocBuilder("doc0")
+                doc_ids.add("doc0")
             rows.append((line_no, cells))
     flush_doc()
     return docs

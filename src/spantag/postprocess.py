@@ -1,15 +1,17 @@
-"""Boundary post-processing: label adjustment and the boundary expander.
+"""Boundary post-processing on predicted segments: gap bridging and the
+boundary expander.
 
-`adjust_labels` bridges a single-O gap between two predicted segments
-and merges segments that touch, then re-encodes — the step that turns a
-trained IOBW model into the IOBW+ configuration.  `expand_boundaries`
-then grows each span over adjacent noun/noun-phrase tokens and
-determiners.
+`_bridge` joins segments separated by at most one O token (touching
+segments included) — the step that turns a trained IOBW model into the
+IOBW+ configuration; `adjust_labels` is the same step on a label
+sequence.  `expand_boundaries` then grows each span over adjacent
+noun/noun-phrase tokens and determiners.  `pipeline_spans` segments each
+predicted row once and applies both steps to the segments.
 """
 
 from dataclasses import dataclass
 
-from .corpus import Document, Sentence, Span, decode_document
+from .corpus import Document, Sentence, Span
 from .errors import ParseError
 from .schemes import Scheme
 from .textprep import token_kind
@@ -54,19 +56,25 @@ def parse_expander_config(text: str) -> ExpanderConfig:
     return ExpanderConfig(**values)
 
 
+def _bridge(segments: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Merge ordered segments whose gap is at most one token."""
+    merged: list[tuple[int, int]] = []
+    for start, end in segments:
+        if merged and start - merged[-1][1] <= 1:
+            merged[-1] = (merged[-1][0], end)
+        else:
+            merged.append((start, end))
+    return merged
+
+
 def adjust_labels(labels: list[str], scheme: Scheme) -> list[str]:
     """Bridge single-O gaps between segments and merge touching segments.
 
     Total over the scheme alphabet (ungrammatical input is segmented
     leniently first), idempotent, and on valid input never drops an I.
     """
-    merged: list[tuple[int, int]] = []
-    for start, end in scheme.lenient_segments(labels):
-        if merged and start - merged[-1][1] <= 1:
-            merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
-    return scheme.encode(merged, len(labels))
+    return scheme.encode(_bridge(scheme.lenient_segments(labels)),
+                         len(labels))
 
 
 def expand_boundaries(spans: list[Span], sentence: Sentence,
@@ -113,18 +121,17 @@ def expand_boundaries(spans: list[Span], sentence: Sentence,
 def pipeline_spans(label_rows: list[list[str]], doc: Document, scheme: Scheme,
                    event_type: str, mode: str = "none",
                    config: ExpanderConfig = ExpanderConfig()) -> list[Span]:
-    """Predicted label rows -> spans: repair, then (for "iobw+") adjust,
-    decode, and expand."""
+    """Predicted label rows -> spans: lenient segments of each row, then
+    (for "iobw+") bridged and expanded."""
     if mode not in POST_MODES:
         raise ValueError(f"unknown post-processing mode {mode!r}")
-    rows = [scheme.repair(row) for row in label_rows]
-    if mode == "iobw+":
-        rows = [adjust_labels(row, scheme) for row in rows]
-    spans = decode_document(rows, scheme, event_type)
-    if mode != "iobw+":
-        return spans
     out = []
-    for idx, sentence in enumerate(doc.sentences):
-        here = [s for s in spans if s.sentence_index == idx]
-        out.extend(expand_boundaries(here, sentence, config))
-    return sorted(out)
+    for idx, row in enumerate(label_rows):
+        segments = scheme.lenient_segments(row)
+        if mode == "iobw+":
+            segments = _bridge(segments)
+        spans = [Span(idx, start, end, event_type) for start, end in segments]
+        if mode == "iobw+":
+            spans = expand_boundaries(spans, doc.sentences[idx], config)
+        out.extend(spans)
+    return out

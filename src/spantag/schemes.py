@@ -1,16 +1,21 @@
 """Tagging schemes: span <-> label-sequence codecs and label repair.
 
-Four schemes over one event type per sequence:
+Four schemes over one event type per sequence, each described by the
+label of a one-token entity and the labels of the first and last tokens
+of a longer one; inner tokens are always I:
 
-    IO     entities are maximal I runs           labels (O, I)
-    IOB    entities are B I*                     labels (O, B, I)
-    IOBW   entities are W or B I+                labels (O, B, I, W)
-    IOBEW  entities are W or B I* E              labels (O, B, I, E, W)
+    scheme  single  first  last   labels
+    IO      I       I      I      (O, I)
+    IOB     B       B      I      (O, B, I)
+    IOBW    W       B      I      (O, B, I, W)
+    IOBEW   W       B      E      (O, B, I, E, W)
 
-IOB is the variant where every entity starts with B.  ``decode`` is
-strict (grammar violations raise), ``repair`` is the total fixer that
-turns any label sequence into a grammar-valid one by lenient
-segmentation followed by re-encoding.
+IOB is the variant where every entity starts with B.  One lenient
+segmenter reads every scheme; a sequence is grammar-valid exactly when
+re-encoding its lenient segments gives it back.  ``decode`` is strict
+(grammar violations raise, naming the first offending position) and
+``repair`` is the total fixer: lenient segmentation followed by
+re-encoding.
 """
 
 from .errors import RepresentabilityError, SchemeValidityError
@@ -31,169 +36,53 @@ def _check_spans(spans: list[SpanPair], length: int) -> list[SpanPair]:
 
 
 class Scheme:
-    """One tagging scheme; stateless, shared via the SCHEMES registry."""
+    """One tagging scheme; stateless, shared via the SCHEMES registry.
 
-    def __init__(self, name: str, labels: tuple[str, ...]):
+    ``single`` labels a one-token entity; ``first`` and ``last`` label
+    the first and last tokens of a longer one.
+    """
+
+    def __init__(self, name: str, labels: tuple[str, ...], single: str,
+                 first: str, last: str):
         self.name = name
         self.labels = labels  # canonical order, fixed for model indexing
+        self.single = single
+        self.first = first
+        self.last = last
+        self._alphabet = frozenset(labels)
 
     def __repr__(self):
         return f"Scheme({self.name})"
 
-    # --- encoding ---------------------------------------------------
-
     def encode(self, spans: list[SpanPair], length: int) -> list[str]:
         """Label the ``length`` tokens of one sentence for these spans."""
-        ordered = _check_spans(spans, length)
         out = ["O"] * length
         prev_end = None
-        for start, end in ordered:
-            if self.name == "IO":
-                if prev_end is not None and start == prev_end:
-                    raise RepresentabilityError(
-                        f"adjacent spans (..,{start}) and ({start},{end}) "
-                        "merge under IO")
-                out[start:end] = ["I"] * (end - start)
-            elif self.name == "IOB":
-                out[start] = "B"
-                out[start + 1:end] = ["I"] * (end - start - 1)
-            elif self.name == "IOBW":
-                if end - start == 1:
-                    out[start] = "W"
-                else:
-                    out[start] = "B"
-                    out[start + 1:end] = ["I"] * (end - start - 1)
-            else:  # IOBEW
-                if end - start == 1:
-                    out[start] = "W"
-                else:
-                    out[start] = "B"
-                    out[start + 1:end - 1] = ["I"] * (end - start - 2)
-                    out[end - 1] = "E"
+        for start, end in _check_spans(spans, length):
+            if start == prev_end and self.first == "I":
+                raise RepresentabilityError(
+                    f"adjacent spans (..,{start}) and ({start},{end}) "
+                    "merge under IO")
+            if end - start == 1:
+                out[start] = self.single
+            else:
+                out[start] = self.first
+                out[start + 1:end - 1] = ["I"] * (end - start - 2)
+                out[end - 1] = self.last
             prev_end = end
         return out
 
-    # --- strict decoding ---------------------------------------------
-
-    def decode(self, labels: list[str]) -> list[SpanPair]:
-        """Spans of a grammar-valid sequence; violations raise."""
-        self._check_alphabet(labels)
-        handler = getattr(self, f"_decode_{self.name.lower()}")
-        return handler(labels)
-
-    def is_valid(self, labels: list[str]) -> bool:
-        try:
-            self.decode(labels)
-            return True
-        except SchemeValidityError:
-            return False
-
-    def _check_alphabet(self, labels: list[str]) -> None:
-        for lab in labels:
-            if lab not in self.labels:
-                raise ValueError(f"label {lab!r} not in scheme {self.name}")
-
-    @staticmethod
-    def _decode_io(labels):
-        spans = []
-        start = None
-        for i, lab in enumerate(labels):
-            if lab == "I":
-                if start is None:
-                    start = i
-            elif start is not None:
-                spans.append((start, i))
-                start = None
-        if start is not None:
-            spans.append((start, len(labels)))
-        return spans
-
-    @staticmethod
-    def _decode_iob(labels):
-        spans = []
-        start = None
-        for i, lab in enumerate(labels):
-            if lab == "B":
-                if start is not None:
-                    spans.append((start, i))
-                start = i
-            elif lab == "I":
-                if start is None:
-                    prev = labels[i - 1] if i else "start"
-                    raise SchemeValidityError(i, f"I follows {prev}")
-            else:  # O
-                if start is not None:
-                    spans.append((start, i))
-                    start = None
-        if start is not None:
-            spans.append((start, len(labels)))
-        return spans
-
-    @staticmethod
-    def _decode_iobw(labels):
-        spans = []
-        start = None
-        for i, lab in enumerate(labels):
-            if lab == "B":
-                if start is not None:
-                    spans.append((start, i))
-                if i + 1 >= len(labels) or labels[i + 1] != "I":
-                    raise SchemeValidityError(i, "B not followed by I")
-                start = i
-            elif lab == "I":
-                if start is None:
-                    prev = labels[i - 1] if i else "start"
-                    raise SchemeValidityError(i, f"I follows {prev}")
-            elif lab == "W":
-                if start is not None:
-                    spans.append((start, i))
-                    start = None
-                spans.append((i, i + 1))
-            else:  # O
-                if start is not None:
-                    spans.append((start, i))
-                    start = None
-        if start is not None:
-            spans.append((start, len(labels)))
-        return spans
-
-    @staticmethod
-    def _decode_iobew(labels):
-        spans = []
-        start = None
-        for i, lab in enumerate(labels):
-            if start is None:
-                if lab == "B":
-                    start = i
-                elif lab == "W":
-                    spans.append((i, i + 1))
-                elif lab in ("I", "E"):
-                    prev = labels[i - 1] if i else "start"
-                    raise SchemeValidityError(i, f"{lab} follows {prev}")
-            else:
-                if lab == "I":
-                    pass
-                elif lab == "E":
-                    spans.append((start, i + 1))
-                    start = None
-                else:  # O, B, W interrupt an unclosed segment
-                    raise SchemeValidityError(
-                        i, f"unclosed segment: {lab} before E")
-        if start is not None:
-            raise SchemeValidityError(
-                len(labels) - 1, "unclosed segment at end (missing E)")
-        return spans
-
-    # --- repair (label fixer) -----------------------------------------
-
     def lenient_segments(self, labels: list[str]) -> list[SpanPair]:
-        """Segment any label sequence without grammar checks.
+        """Segment any label sequence over this scheme's alphabet without
+        grammar checks.
 
         B, W, and I-after-gap open a segment; I (and E) extend it; W and
         E close it; B over an open segment closes that one first.  An E
         with nothing open marks no segment.
         """
-        self._check_alphabet(labels)
+        if not self._alphabet.issuperset(labels):
+            bad = next(lab for lab in labels if lab not in self._alphabet)
+            raise ValueError(f"label {bad!r} not in scheme {self.name}")
         segments = []
         start = None
         for i, lab in enumerate(labels):
@@ -221,6 +110,35 @@ class Scheme:
             segments.append((start, len(labels)))
         return segments
 
+    def decode(self, labels: list[str]) -> list[SpanPair]:
+        """Spans of a grammar-valid sequence; violations raise."""
+        segments = self.lenient_segments(labels)
+        valid = self.encode(segments, len(labels))
+        if valid != labels:
+            for i, (got, want) in enumerate(zip(labels, valid)):
+                if got != want:
+                    raise self._violation(labels, i, got, want)
+        return segments
+
+    def _violation(self, labels: list[str], i: int, got: str,
+                   want: str) -> SchemeValidityError:
+        """The grammar rule broken where ``labels`` first differs from its
+        re-encoding (``got`` found, ``want`` expected)."""
+        if (got, want) in ((self.first, self.single), ("I", self.last)):
+            # a segment ended without its closing label
+            if self.last == "I":
+                return SchemeValidityError(i, f"{got} not followed by I")
+            if i + 1 < len(labels):
+                return SchemeValidityError(
+                    i + 1, f"unclosed segment: {labels[i + 1]} before E")
+            return SchemeValidityError(
+                i, "unclosed segment at end (missing E)")
+        prev = labels[i - 1] if i else "start"
+        return SchemeValidityError(i, f"{got} follows {prev}")
+
+    def is_valid(self, labels: list[str]) -> bool:
+        return self.repair(labels) == list(labels)
+
     def repair(self, labels: list[str]) -> list[str]:
         """Total fixer: lenient segmentation re-encoded in this scheme.
 
@@ -230,10 +148,12 @@ class Scheme:
 
 
 SCHEMES = {
-    "IO": Scheme("IO", ("O", "I")),
-    "IOB": Scheme("IOB", ("O", "B", "I")),
-    "IOBW": Scheme("IOBW", ("O", "B", "I", "W")),
-    "IOBEW": Scheme("IOBEW", ("O", "B", "I", "E", "W")),
+    "IO": Scheme("IO", ("O", "I"), single="I", first="I", last="I"),
+    "IOB": Scheme("IOB", ("O", "B", "I"), single="B", first="B", last="I"),
+    "IOBW": Scheme("IOBW", ("O", "B", "I", "W"),
+                   single="W", first="B", last="I"),
+    "IOBEW": Scheme("IOBEW", ("O", "B", "I", "E", "W"),
+                    single="W", first="B", last="E"),
 }
 
 SCHEME_NAMES = tuple(SCHEMES)

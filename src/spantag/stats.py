@@ -10,6 +10,7 @@ derived per (event type, repeat), so folds across event types are
 unpaired.
 """
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -289,9 +290,9 @@ def make_folds(n_docs: int, folds: int, seed: int) -> list[list[int]]:
     return out
 
 
-def _run_fold(docs: list[Document], event_type: str, models: tuple[str, ...],
+def _run_fold(docs: list[Document], models: tuple[str, ...],
               trainer: crf.TrainerConfig, template: FeatureTemplate,
-              expander: ExpanderConfig, test_idx: list[int]):
+              expander: ExpanderConfig, event_type: str, test_idx: list[int]):
     """Train every scheme the model list needs on the non-test documents
     and tag the held-out fold once per scheme, then score each model."""
     test_set = set(test_idx)
@@ -340,24 +341,15 @@ def crossval(docs: list[Document], cv: CvConfig,
                     make_folds(len(docs), cv.folds, fold_seed)):
                 tasks.append((event_type, repeat, fold, test_idx))
 
-    def run(task):
-        event_type, _, _, test_idx = task
-        return _run_fold(docs, event_type, cv.models, trainer, template,
-                         expander, test_idx)
-
+    fold = functools.partial(_run_fold, docs, cv.models, trainer, template,
+                             expander)
+    event_types = [t[0] for t in tasks]
+    test_idxs = [t[3] for t in tasks]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(
-                _run_fold,
-                [docs] * len(tasks),
-                [t[0] for t in tasks],
-                [cv.models] * len(tasks),
-                [trainer] * len(tasks),
-                [template] * len(tasks),
-                [expander] * len(tasks),
-                [t[3] for t in tasks]))
+            outcomes = list(pool.map(fold, event_types, test_idxs))
     else:
-        outcomes = [run(task) for task in tasks]
+        outcomes = list(map(fold, event_types, test_idxs))
 
     matrix = RunMatrix(cv.repeats, cv.folds, tuple(cv.models),
                        tuple(cv.event_types))

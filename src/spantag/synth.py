@@ -162,6 +162,7 @@ def default_profile() -> SynthProfile:
 
 _GLOBAL_KEYS = ("sentences_per_doc", "mention_rate", "determiner_fraction",
                 "background_vocab", "pos_noise", "trigger_fraction")
+_INT_KEYS = ("sentences_per_doc", "background_vocab")
 
 
 def profile_text(profile: SynthProfile) -> str:
@@ -196,6 +197,13 @@ def parse_profile(text: str) -> SynthProfile:
             number = float(value)
         except ValueError:
             raise ParseError(f"bad number {value!r}", line_no) from None
+        if not math.isfinite(number):
+            raise ParseError(f"non-finite number {value!r}", line_no)
+        if key in _INT_KEYS:
+            if not number.is_integer():
+                raise ParseError(f"{key} must be a whole number, got {value!r}",
+                                 line_no)
+            number = int(number)
         if key in _GLOBAL_KEYS:
             globals_seen[key] = number
             continue
@@ -237,10 +245,7 @@ def parse_profile(text: str) -> SynthProfile:
                 entry["unique_word_fraction"], entry["acronym_fraction"])
         profile.events = events
     for key, number in globals_seen.items():
-        if key in ("sentences_per_doc", "background_vocab"):
-            setattr(profile, key, int(number))
-        else:
-            setattr(profile, key, number)
+        setattr(profile, key, number)
     profile.validate()
     return profile
 

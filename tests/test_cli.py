@@ -107,6 +107,22 @@ class TestSynthCommand:
         assert "label:IOBW:ALPHA" in out and "label:IOBW:BETA" in out
 
 
+    def test_non_finite_profile_number_is_a_data_error(self, workdir):
+        bad = workdir / "inf_profile.txt"
+        bad.write_text("mention_rate = 1.0\nbackground_vocab = inf\n",
+                       encoding="utf-8")
+        src = str(Path(spantag.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "spantag.cli", "synth", "--docs", "2",
+             "--profile", str(bad)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "line 2" in proc.stderr and "non-finite" in proc.stderr
+        assert proc.stdout == ""
+
+
 class TestProfileCommand:
     def test_reports_mention_statistics(self, corpus_file, capsys):
         assert main(["profile", "--input", str(corpus_file)]) == 0
@@ -259,6 +275,18 @@ class TestEvalCommand:
         rc = main(["eval", "--gold", str(corpus_file), "--system", str(bad)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+    def test_repeated_gold_document_id_is_a_data_error(self, workdir,
+                                                       capsys):
+        gold = workdir / "dup_gold.tsv"
+        gold.write_text("#! columns = surface label:IOB:PROBLEM\n"
+                        "#! doc = a\nx\tB\n\n"
+                        "#! doc = a\ny\tO\n", encoding="utf-8")
+        rc = main(["eval", "--gold", str(gold), "--system", str(gold)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "line 5" in err and "duplicate document id" in err
 
 
 class TestCrossvalAndStats:

@@ -163,6 +163,16 @@ class TestColumnFileParsing:
         docs = parse_column_file(text)
         assert [d.id for d in docs] == ["d1", "d2"]
 
+    @pytest.mark.parametrize("text,line", [
+        ("#! columns = surface\n#! doc = a\nx\n\n#! doc = a\ny\n", 5),
+        ("#! columns = surface\nx\n\n#! doc = doc0\ny\n", 4),
+        ("#! columns = surface\n#! doc = a\n#! doc = b\n#! doc = a\n", 4),
+    ])
+    def test_repeated_document_id_rejected(self, text, line):
+        with pytest.raises(ParseError, match="duplicate document id") as exc:
+            parse_column_file(text)
+        assert exc.value.line == line
+
     @pytest.mark.parametrize("bad,message", [
         ("#! columns = surface\n#! columns = surface\n",
          "duplicate columns"),

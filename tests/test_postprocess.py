@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from spantag.corpus import Span
+from spantag.corpus import Span, decode_document
 from spantag.errors import ParseError
 from spantag.postprocess import (
     ExpanderConfig,
@@ -199,3 +199,34 @@ class TestPipelineSpans:
         rows = [["O", "I"], ["I", "O"]]
         got = pipeline_spans(rows, doc, IOB, "TEST", mode="none")
         assert got == [Span(0, 1, 2, "TEST"), Span(1, 0, 1, "TEST")]
+
+
+def _composed_pipeline(label_rows, doc, scheme, event_type, mode, config):
+    """The label-level composition pipeline_spans must equal: repair,
+    adjust (iobw+), strict decode, expand per sentence (iobw+)."""
+    rows = [scheme.repair(row) for row in label_rows]
+    if mode == "iobw+":
+        rows = [adjust_labels(row, scheme) for row in rows]
+    spans = decode_document(rows, scheme, event_type)
+    if mode != "iobw+":
+        return spans
+    out = []
+    for idx, sentence in enumerate(doc.sentences):
+        here = [s for s in spans if s.sentence_index == idx]
+        out.extend(expand_boundaries(here, sentence, config))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("mode", ["none", "iobw+"])
+@pytest.mark.parametrize("scheme", [IOB, IOBW])
+def test_pipeline_spans_matches_label_composition(scheme, mode):
+    cells = (("the", "DT", "B-NP"), ("x", "NN", "I-NP"), ("went", "VB", "O"),
+             (",", ",", "O"), ("y", "JJ", "B-NP"), ("z", "NNS", "O"))
+    config = ExpanderConfig()
+    for n in range(7):
+        doc = build_doc("d0", [build_sentence(*cells[:n])])
+        for labels in itertools.product(scheme.labels, repeat=n):
+            rows = [list(labels)]
+            assert (pipeline_spans(rows, doc, scheme, "PROBLEM", mode, config)
+                    == _composed_pipeline(rows, doc, scheme, "PROBLEM", mode,
+                                          config)), labels

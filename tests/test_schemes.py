@@ -1,5 +1,6 @@
 """Tagging-scheme codecs: encode/decode, validity, and repair."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -182,3 +183,31 @@ class TestLenientSegments:
     def test_segment_at_sentence_end_is_closed(self):
         assert IOB.lenient_segments(["O", "B", "I"]) == [(1, 3)]
         assert IO.lenient_segments(["I"]) == [(0, 1)]
+
+
+def _decode_outcome(scheme, labels):
+    try:
+        return " ".join(f"{s}-{e}" for s, e in scheme.decode(labels))
+    except SchemeValidityError as exc:
+        return f"! {exc.position} {exc.rule}"
+
+
+def test_decode_and_repair_digest():
+    """Every label sequence of length <= 6 over each scheme's labels:
+    decode's spans or its (position, rule), and repair's output.
+
+    The digest was computed before the per-scheme strict decoders were
+    derived from lenient segmentation, so it pins every error position
+    and message across such rewrites.
+    """
+    lines = []
+    for scheme in ALL:
+        for n in range(7):
+            for seq in itertools.product(scheme.labels, repeat=n):
+                labels = list(seq)
+                lines.append(f"{scheme.name} {''.join(labels)} | "
+                             f"{_decode_outcome(scheme, labels)} | "
+                             f"{''.join(scheme.repair(labels))}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "aae940b272f0b25527aeb8694ebbee06ffd5f9ad57775964ea582ea77953aa71")

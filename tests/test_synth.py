@@ -197,6 +197,28 @@ class TestProfileFiles:
         assert fragment in str(exc.value)
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("line,fragment", [
+        ("background_vocab = inf", "non-finite"),
+        ("sentences_per_doc = 1e400", "non-finite"),
+        ("background_vocab = nan", "non-finite"),
+        ("mention_rate = nan", "non-finite"),
+        ("PROBLEM.proportion = nan", "non-finite"),
+        ("PROBLEM.length.1 = nan", "non-finite"),
+        ("sentences_per_doc = 2.7", "whole number"),
+    ])
+    def test_non_finite_and_fractional_numbers_rejected(self, line, fragment):
+        with pytest.raises(ParseError) as exc:
+            parse_profile("# header\n" + line + "\n")
+        assert fragment in str(exc.value)
+        assert exc.value.line == 2
+
+    def test_whole_number_floats_accepted_for_counts(self):
+        profile = parse_profile("sentences_per_doc = 4.0\n"
+                                "background_vocab = 1e2\n")
+        assert profile.sentences_per_doc == 4
+        assert profile.background_vocab == 100
+        assert isinstance(profile.background_vocab, int)
+
     def test_incomplete_event_rejected(self):
         with pytest.raises(ParseError) as exc:
             parse_profile("ALPHA.proportion = 1.0\n"
