@@ -61,6 +61,8 @@ class Span:
     event_type: str
 
     def __post_init__(self):
+        if self.sentence_index < 0:
+            raise ValueError(f"negative sentence index {self.sentence_index}")
         if not (0 <= self.start < self.end):
             raise ValueError(f"bad span [{self.start},{self.end})")
         if not _TYPE_RE.match(self.event_type):

@@ -1,30 +1,32 @@
 """Linear-chain conditional random field.
 
 Log-linear model over per-position feature strings (from template
-expansion) and optional label-transition features.  Inference is all
-log-space: forward-backward for the partition function and marginals,
-Viterbi (lowest-index tie-break) for decoding.  Training expands each
-sentence once, interning feature strings in first-occurrence order into
-one fixed-width (positions, rules) id matrix, and minimizes the
-L2-regularized negative log-likelihood
+expansion) and optional label-transition features, trained by L-BFGS on
+the L2-regularized negative log-likelihood
 
     f(w) = -sum_s log p(y_s | x_s; w) + ||w||^2 / (2C)
 
-with L-BFGS over that matrix, so larger C means weaker regularization.
+(larger C, weaker regularization).  Inference is all log-space:
+forward-backward for the partition function and marginals, Viterbi
+(lowest-index tie-break) for decoding.
 
-Training and tagging share one lattice layout, ``TimeMajor``: the
-sentences of a batch stored one time step after another, so that each
-step of forward-backward or Viterbi works on a contiguous block of rows.
-``BatchedObjective`` runs over a whole training corpus, and
-``CrfModel.tag`` decodes all sentences of a document as one batch.  The
-per-sentence ``Lattice``, ``forward_backward``, ``viterbi``,
-``instance_lattice`` and ``objective_and_gradient`` are the reference
-implementations that the tests compare the batched paths against.
+Each layout decision has one home.  ``_encode`` expands sentences once
+into a fixed-width (positions, rules) feature-id matrix, for training
+(first-occurrence interning) and for tagging (-1 for an unseen feature).
+``FeatureAlphabet.split`` reads the flat weight vector.  ``TimeMajor``
+orders a batch longest first and stores it one time step after another,
+so each step of forward-backward or Viterbi is a contiguous block of
+rows; ``BatchedObjective`` runs on a whole training corpus and
+``CrfModel.tag`` on one document.  The per-sentence ``Lattice``,
+``forward_backward``, ``viterbi``, ``instance_lattice`` and
+``objective_and_gradient`` are the reference implementations that the
+tests compare the batched paths against.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import partial
+from itertools import repeat, zip_longest
 
 import numpy as np
 
@@ -152,10 +154,14 @@ def sequence_score(lat: Lattice, labels: list[int]) -> float:
 # --- feature alphabet ----------------------------------------------------
 
 class FeatureAlphabet:
-    """Dense weight indexing: feature-string x label, then label bigrams.
+    """Feature strings numbered by first occurrence, and the flat weight
+    layout over them.
 
-    Feature index f and label index y map to weight f*L + y; transition
-    (a, b) maps to n_features*L + a*L + b when transitions are enabled.
+    A weight vector holds one row of n_labels node weights per feature,
+    in id order, followed by the (n_labels, n_labels) transition weights
+    (previous label, then current) when transitions are enabled.
+    ``dim`` is its size, ``split`` views its two parts and ``cells``
+    names its entries in order.
     """
 
     def __init__(self, labels: tuple[str, ...], transitions: bool):
@@ -179,20 +185,27 @@ class FeatureAlphabet:
     def add(self, feature: str) -> int:
         return self.feat_index.setdefault(feature, len(self.feat_index))
 
-    def feature_id(self, feature: str) -> int | None:
-        return self.feat_index.get(feature)
-
-    def index(self, fid: int, y: int) -> int:
-        return fid * self.n_labels + y
-
-    def trans_base(self) -> int:
-        return self.n_features * self.n_labels
-
-    def trans_index(self, a: int, b: int) -> int:
-        return self.trans_base() + a * self.n_labels + b
-
     def feature_strings(self) -> list[str]:
         return list(self.feat_index)  # ids follow insertion order
+
+    def split(self, vector: np.ndarray):
+        """Views of a weight-layout vector: node (n_features, n_labels),
+        and transitions (n_labels, n_labels) or None."""
+        L = self.n_labels
+        n_node = self.n_features * L
+        trans = vector[n_node:].reshape(L, L) if self.transitions else None
+        return vector[:n_node].reshape(-1, L), trans
+
+    def cells(self):
+        """(feature, label) names of the layout's entries, in order; a
+        transition is named (``_TRANS_``, "previous,current")."""
+        for feature in self.feat_index:
+            for label in self.labels:
+                yield feature, label
+        if self.transitions:
+            for prev in self.labels:
+                for cur in self.labels:
+                    yield _TRANS_MARK, f"{prev},{cur}"
 
 
 @dataclass
@@ -212,26 +225,33 @@ class EncodedCorpus:
         return self.alphabet.n_features
 
 
+def _encode(template: FeatureTemplate, sentences, to_ids):
+    """Expand each sentence once into a (positions, rules) id matrix, one
+    row per token of the sentences in order, and return it with the
+    sentences' token counts.  ``to_ids(strings)`` gives the ids of one
+    position's feature strings; taking a whole position lets tagging map
+    ``dict.get`` with a default in C, with no Python call per string."""
+    ids: list[int] = []
+    for sentence in sentences:
+        if sentence.tokens:
+            for feats in expand_sentence(template, feature_table(sentence)):
+                ids.extend(to_ids(feats))
+    lengths = np.array([len(s.tokens) for s in sentences], dtype=np.intp)
+    return (np.array(ids, dtype=np.intp).reshape(lengths.sum(),
+                                                 len(template.rules)),
+            lengths)
+
+
 def build_alphabet(docs: list[Document], template: FeatureTemplate,
                    scheme: Scheme) -> EncodedCorpus:
-    """Expand every sentence once, interning feature strings in
+    """Expand every non-empty sentence once, interning feature strings in
     first-occurrence order."""
     if not any(doc.sentences for doc in docs):
         raise ConfigError("cannot build an alphabet from an empty corpus")
     alphabet = FeatureAlphabet(scheme.labels, template.transitions)
-    ids: list[int] = []
-    lengths: list[int] = []
-    for doc in docs:
-        for sentence in doc.sentences:
-            if not sentence.tokens:
-                continue
-            for feats in expand_sentence(template, feature_table(sentence)):
-                ids.extend(map(alphabet.add, feats))
-            lengths.append(len(sentence.tokens))
-    return EncodedCorpus(
-        alphabet,
-        np.array(ids, dtype=np.intp).reshape(sum(lengths), len(template.rules)),
-        np.array(lengths, dtype=np.intp))
+    sentences = [s for doc in docs for s in doc.sentences if s.tokens]
+    return EncodedCorpus(alphabet, *_encode(template, sentences,
+                                            partial(map, alphabet.add)))
 
 
 # --- gold labels, and sentences for the reference objective ---------------
@@ -255,15 +275,6 @@ class Instance:
 
 # --- objective: reference (per-sentence) path, a test oracle ----------------
 
-def _unpack(weights, alphabet):
-    L = alphabet.n_labels
-    w_node = weights[:alphabet.n_features * L].reshape(alphabet.n_features, L)
-    w_trans = None
-    if alphabet.transitions:
-        w_trans = weights[alphabet.trans_base():].reshape(L, L)
-    return w_node, w_trans
-
-
 def instance_lattice(inst: Instance, w_node, w_trans) -> Lattice:
     n = len(inst.feats)
     L = w_node.shape[1]
@@ -284,13 +295,10 @@ def objective_and_gradient(weights: np.ndarray, instances: list[Instance],
     Straightforward sentence-at-a-time evaluation; the trainer uses the
     batched equivalent, which must produce the same values.
     """
-    L = alphabet.n_labels
-    w_node, w_trans = _unpack(weights, alphabet)
+    w_node, w_trans = alphabet.split(weights)
     value = 0.0
     grad = np.zeros_like(weights)
-    g_node = grad[:alphabet.n_features * L].reshape(alphabet.n_features, L)
-    g_trans = (grad[alphabet.trans_base():].reshape(L, L)
-               if alphabet.transitions else None)
+    g_node, g_trans = alphabet.split(grad)
     for inst in instances:
         lat = instance_lattice(inst, w_node, w_trans)
         log_z, marginals, edge_marginals = forward_backward(lat)
@@ -417,55 +425,44 @@ class BatchedObjective:
     """Vectorized objective over all sentences at once.
 
     Takes the fixed-width id matrix of ``build_alphabet`` and the gold
-    ids of ``make_instances``.  Sentences are re-sorted by length
-    (descending, stable), and row p of ``ids`` holds the feature ids of
-    position p of that order.  The node scores are gathered and the node
-    gradient accumulated in this position order, which fixes their
-    summation order; forward, backward and the transition expectations
-    run on the ``TimeMajor`` layout, where each time step is one
-    contiguous block of rows.  Empirical counts do not depend on the
-    weights and are folded into one constant vector, so
-    f(w) = sum logZ_s - w . emp + ||w||^2/(2C).
+    ids of ``make_instances``.  Forward, backward and the transition
+    expectations run on the ``TimeMajor`` layout of the corpus, where each
+    time step is one contiguous block of rows.  The node scores are
+    gathered and the node gradient accumulated in length-sorted position
+    order (the layout's rows sentence by sentence, step by step), which
+    fixes their summation order; ``ids`` is the id matrix in that order.
+    Empirical counts do not depend on the weights and are folded into one
+    constant vector, so f(w) = sum logZ_s - w . emp + ||w||^2/(2C).
     """
 
     def __init__(self, encoded: EncodedCorpus, gold: np.ndarray, C: float):
         alphabet = encoded.alphabet
         self.alphabet = alphabet
         self.C = C
-        self.L = alphabet.n_labels
         self.n_rules = encoded.ids.shape[1]
-        order = np.argsort(-encoded.lengths, kind="stable")
-        lengths = encoded.lengths[order]
-        starts = np.cumsum(lengths) - lengths
-        # position p of the sorted layout comes from row perm[p] of the input
-        starts_in = np.cumsum(encoded.lengths) - encoded.lengths
-        perm = (np.repeat(starts_in[order] - starts, lengths)
-                + np.arange(len(gold)))
-        self.ids = encoded.ids[perm]
-        gold = gold[perm]
-        # already sorted, so the time-major rows index the sorted positions
-        self.tm = TimeMajor(lengths)
-        self.sorted_row = np.empty_like(self.tm.rows)
-        self.sorted_row[self.tm.rows] = np.arange(len(self.tm.rows))
+        tm = self.tm = TimeMajor(encoded.lengths)
+        # the layout's rows in length-sorted position order
+        self.by_sentence = np.argsort(tm.sentence, kind="stable")
+        self.ids = encoded.ids[tm.rows[self.by_sentence]]
 
-        # constant empirical-count vector; integer counts, so the order of
-        # accumulation does not matter
+        # constant empirical-count vector; integer counts, so they can be
+        # accumulated in input order
         emp = np.zeros(alphabet.dim)
-        e_node = emp[:alphabet.n_features * self.L].reshape(-1, self.L)
-        np.add.at(e_node, (self.ids.ravel(), np.repeat(gold, self.n_rules)),
+        e_node, e_trans = alphabet.split(emp)
+        np.add.at(e_node, (encoded.ids.ravel(), np.repeat(gold, self.n_rules)),
                   1.0)
-        if alphabet.transitions:
-            e_trans = emp[alphabet.trans_base():].reshape(self.L, self.L)
-            nxt = np.delete(np.arange(len(gold)), starts)  # non-first positions
+        if e_trans is not None:
+            nxt = tm.rows[len(tm.last):]  # rows past step 0: non-first positions
             np.add.at(e_trans, (gold[nxt - 1], gold[nxt]), 1.0)
         self.empirical = emp
 
     def __call__(self, weights: np.ndarray):
         a = self.alphabet
-        L = self.L
+        L = a.n_labels
         tm = self.tm
-        w_node, w_trans = _unpack(weights, a)
-        node = _node_scores(w_node, self.ids)[tm.rows]
+        w_node, w_trans = a.split(weights)
+        node = np.empty((len(self.ids), L))
+        node[self.by_sentence] = _node_scores(w_node, self.ids)
         alpha = np.empty_like(node)
         beta = np.zeros_like(node)  # zero at every sentence's last step
         nb = np.empty_like(node)  # node + beta, the backward messages
@@ -492,17 +489,16 @@ class BatchedObjective:
 
         log_z = _logsumexp(alpha[tm.last], axis=1)
         marg = np.exp(alpha + beta - log_z[tm.sentence][:, None])
-        marg_t = marg[self.sorted_row].T
+        marg_t = marg[self.by_sentence].T
 
         grad = np.zeros_like(weights)
-        g_node = grad[:a.n_features * L].reshape(-1, L)
+        g_node, g_trans = a.split(grad)
         fids = self.ids.ravel()
         for y in range(L):
             g_node[:, y] = np.bincount(
                 fids, weights=np.repeat(marg_t[y], self.n_rules),
                 minlength=a.n_features)
         if w_trans is not None:
-            g_trans = grad[a.trans_base():].reshape(L, L)
             for t in range(1, tm.n_steps):
                 k = tm.active[t]
                 cur = tm.block(t)
@@ -535,17 +531,11 @@ class CrfModel:
     def _decode(self, sentences) -> list[list[str]]:
         # a feature unseen in training gets id -1 and scores zero
         get, unseen = self.alphabet.feat_index.get, repeat(-1)
-        ids: list[int] = []
-        for sentence in sentences:
-            if sentence.tokens:
-                for feats in expand_sentence(self.template,
-                                             feature_table(sentence)):
-                    ids.extend(map(get, feats, unseen))
-        lengths = np.array([len(s.tokens) for s in sentences], dtype=np.intp)
-        w_node, w_trans = _unpack(self.weights, self.alphabet)
-        node = _node_scores(w_node, np.array(ids, dtype=np.intp).reshape(
-            lengths.sum(), len(self.template.rules)), unseen=True)
-        path = batch_viterbi(node, lengths, w_trans)
+        ids, lengths = _encode(self.template, sentences,
+                               lambda feats: map(get, feats, unseen))
+        w_node, w_trans = self.alphabet.split(self.weights)
+        path = batch_viterbi(_node_scores(w_node, ids, unseen=True), lengths,
+                             w_trans)
         labels = np.array(self.alphabet.labels, dtype=object)[path].tolist()
         ends = np.cumsum(lengths).tolist()
         return [labels[end - n:end] for n, end in zip(lengths.tolist(), ends)]
@@ -593,17 +583,8 @@ def save_model(model: CrfModel) -> str:
     ]
     lines.extend(template_text.splitlines())
     lines.append(f"features = {a.n_features}")
-    strings = a.feature_strings()
-    for fid, feat in enumerate(strings):
-        for y, lab in enumerate(a.labels):
-            idx = a.index(fid, y)
-            lines.append(f"{idx}\t{feat}\t{lab}\t{float(model.weights[idx])!r}")
-    if a.transitions:
-        for p, prev in enumerate(a.labels):
-            for c, cur in enumerate(a.labels):
-                idx = a.trans_index(p, c)
-                lines.append(
-                    f"{idx}\t{_TRANS_MARK}\t{prev},{cur}\t{float(model.weights[idx])!r}")
+    for idx, ((feat, lab), weight) in enumerate(zip(a.cells(), model.weights)):
+        lines.append(f"{idx}\t{feat}\t{lab}\t{float(weight)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -651,14 +632,18 @@ def load_model(text: str) -> CrfModel:
     cursor = 6 + template_lines
     n_features = count(cursor + 1, "features")
 
-    alphabet = FeatureAlphabet(labels, transitions)
-    expected = n_features * len(labels) + (len(labels) ** 2 if transitions else 0)
+    L = len(labels)
+    expected = n_features * L + (L * L if transitions else 0)
     rows = lines[cursor + 1:]
     if len(rows) != expected:
         raise ParseError(f"expected {expected} weight rows, got {len(rows)}",
                          len(lines))
+    alphabet = FeatureAlphabet(labels, transitions)
+    for raw in rows[:n_features * L:L]:  # each feature's first row names it
+        alphabet.add(raw.partition("\t")[2].partition("\t")[0])
     weights = np.zeros(expected)
-    for pos, raw in enumerate(rows):
+    layout = zip_longest(rows, alphabet.cells())  # None past a short layout
+    for pos, (raw, cell) in enumerate(layout):
         row_no = cursor + 2 + pos
         cells = raw.split("\t")
         if len(cells) != 4:
@@ -666,24 +651,13 @@ def load_model(text: str) -> CrfModel:
         idx_s, feat, lab, weight_s = cells
         try:
             idx = int(idx_s)
-            if feat == _TRANS_MARK:
-                prev, _, cur = lab.partition(",")
-                want = alphabet.trans_index(labels.index(prev),
-                                            labels.index(cur))
-            else:
-                fid = alphabet.add(feat)
-                want = alphabet.index(fid, labels.index(lab))
             weight = float(weight_s)
             if not math.isfinite(weight):
                 raise ValueError(f"non-finite weight {weight_s!r}")
         except ValueError as exc:
             raise ParseError(f"bad weight row: {exc}", row_no) from None
-        if idx != want or idx != pos:  # rows are written in index order
-            raise ParseError(f"index {idx} does not match layout ({want})",
-                             row_no)
-        weights[idx] = weight
-    if alphabet.n_features != n_features:
-        raise ParseError(
-            f"expected {n_features} features, got {alphabet.n_features}",
-            len(lines))
+        if (idx, (feat, lab)) != (pos, cell):  # rows are written in order
+            raise ParseError(f"row {idx} ({feat}, {lab}) does not match "
+                             f"layout entry {pos} {cell}", row_no)
+        weights[pos] = weight
     return CrfModel(alphabet, weights, scheme, template, event_type)

@@ -6,6 +6,8 @@ of exactly "B" turns on label-transition features, and bigram rules
 with cell references are not supported.  Rows index tokens relative to
 the current position (offsets -4..4); columns index the per-token
 feature table (1=surface, 2=stem, 3=POS, 4=chunk, 5=kind, 6=case).
+Both ranges are checked when the template is parsed, so expansion of a
+``feature_table`` never reads past a row.
 """
 
 import re
@@ -97,8 +99,9 @@ def parse_template(text: str) -> FeatureTemplate:
             row, col = int(cm.group(1)), int(cm.group(2))
             if abs(row) > MAX_OFFSET:
                 raise ParseError(f"row offset {row} outside ±{MAX_OFFSET}", line_no)
-            if col < 1:
-                raise ParseError(f"column index {col} must be >= 1", line_no)
+            if not 1 <= col < N_COLUMNS:
+                raise ParseError(
+                    f"column index {col} outside 1..{N_COLUMNS - 1}", line_no)
             cells.append((row, col))
         rules.append(Rule(rule_id, tuple(cells)))
     return FeatureTemplate(tuple(rules), transitions, text)
@@ -157,13 +160,7 @@ def expand_sentence(template: FeatureTemplate,
         return []
     # column c padded with sentinels: row r of the sentence is entry r + 4
     padded = [_BEFORE + column + _AFTER for column in zip(*table)]
-    try:
-        strings = [_rule_column(rule, padded, n) for rule in template.rules]
-    except IndexError:
-        # a column past some row's width (zip stops at the narrowest row):
-        # the position-wise expansion raises the error if a row inside
-        # the sentence needs that column
-        return [expand(template, table, i) for i in range(n)]
+    strings = [_rule_column(rule, padded, n) for rule in template.rules]
     if not strings:
         return [[] for _ in range(n)]
     return [list(feats) for feats in zip(*strings)]

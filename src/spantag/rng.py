@@ -55,8 +55,8 @@ class SplitMix64:
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free via rejection sampling."""
-        if n <= 0:
-            raise ValueError("randrange() requires n >= 1")
+        if not 1 <= n <= MASK64 + 1:
+            raise ValueError("randrange() requires 1 <= n <= 2**64")
         limit = (MASK64 + 1) - ((MASK64 + 1) % n)
         while True:
             r = self.next_u64()

@@ -58,6 +58,8 @@ class SynthProfile:
             raise ConfigError("profile has no event types")
         if self.background_vocab < 1:
             raise ConfigError("background vocabulary must be non-empty")
+        if self.background_vocab > 2**64:  # words are drawn by randrange
+            raise ConfigError("background vocabulary must be at most 2**64")
         if self.sentences_per_doc < 1:
             raise ConfigError("sentences_per_doc must be >= 1")
         if not 0 <= self.determiner_fraction <= 1:
@@ -214,7 +216,7 @@ def parse_profile(text: str) -> SynthProfile:
             raise ParseError(f"unknown key {key!r}", line_no)
         name, fields = parts[0], parts[1:]
         entry = raw_events.setdefault(
-            name, {"length_hist": {}, "proportion": None,
+            name, {"line": line_no, "length_hist": {}, "proportion": None,
                    "unique_word_fraction": None, "acronym_fraction": 0.0})
         if fields == ["count"]:
             continue
@@ -235,11 +237,13 @@ def parse_profile(text: str) -> SynthProfile:
         events = {}
         for name, entry in raw_events.items():
             if entry["proportion"] is None:
-                raise ParseError(f"{name}: missing proportion", 1)
+                raise ParseError(f"{name}: missing proportion", entry["line"])
             if entry["unique_word_fraction"] is None:
-                raise ParseError(f"{name}: missing unique_word_fraction", 1)
+                raise ParseError(f"{name}: missing unique_word_fraction",
+                                 entry["line"])
             if not entry["length_hist"]:
-                raise ParseError(f"{name}: missing length histogram", 1)
+                raise ParseError(f"{name}: missing length histogram",
+                                 entry["line"])
             events[name] = EventSpec(
                 entry["proportion"], entry["length_hist"],
                 entry["unique_word_fraction"], entry["acronym_fraction"])
@@ -310,8 +314,6 @@ class _Generator:
                         for t in self.types}
         self.acronyms = {t: _WordPool(t[:2], profile._mint_prob(t), upper=True)
                          for t in self.types}
-        self.background = ["bg" + _base26(i)
-                           for i in range(profile.background_vocab)]
         # small reused cue lexicons make held-out mentions findable by
         # context even when their words were never seen in training
         self.triggers = {t: tuple(f"tg{t.lower()}{ch}" for ch in "abc")
@@ -338,7 +340,8 @@ class _Generator:
             self.content_lengths[t] = (ks, ps)
 
     def _background_token(self) -> _TokenDraft:
-        surface = self.background[self.rng.randrange(len(self.background))]
+        vocab = self.profile.background_vocab
+        surface = "bg" + _base26(self.rng.randrange(vocab))
         if self.rng.bernoulli(self.profile.pos_noise):
             return _TokenDraft(surface, "NN", "B-NP")
         pos = _BACKGROUND_POS[self.rng.randrange(len(_BACKGROUND_POS))]

@@ -1,0 +1,47 @@
+"""The names the benchmark's tracer wraps from outside the program.
+
+``perfbench/tracing.py`` replaces module and class attributes by name,
+for instance ``crf.expand_sentence`` and ``crf.feature_table``: the
+expansion is only measured if ``crf`` calls them as its own module
+globals.  This test installs that tracer on a tiny corpus and checks
+that every name resolves, that the main layers record spans, that the
+expansion counter sees every token once per pass, and that ``restore``
+puts the originals back.
+"""
+
+import sys
+from pathlib import Path
+
+from spantag import crf, synth
+from spantag.crf import TrainerConfig
+from spantag.features import default_template
+from spantag.schemes import get_scheme
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
+
+
+def test_tracer_wraps_and_restores_the_program():
+    docs = synth.generate(synth.default_profile(), 11, 3)
+    tokens = sum(len(s.tokens) for d in docs for s in d.sentences)
+    tracer = tracing.Tracer()
+    tracer.install()  # raises AttributeError for a name that is gone
+    wrapped = list(tracer._undo)
+    try:
+        assert wrapped
+        for owner, attr, original in wrapped:
+            assert getattr(owner, attr).__wrapped__ is original
+        model = crf.train(docs, default_template(True), get_scheme("IOB"),
+                          "PROBLEM", TrainerConfig(max_iterations=5))
+        assert tracer.positions_expanded == tokens
+        for doc in docs:
+            model.tag(doc)
+        assert tracer.positions_expanded == 2 * tokens
+        assert tracer.tagged_tokens == tokens
+    finally:
+        tracer.restore()
+    names = {span[0] for span in tracer.spans}
+    assert {"features.expand", "crf.alphabet", "crf.objective",
+            "crf.tag"} <= names
+    for owner, attr, original in wrapped:
+        assert getattr(owner, attr) is original

@@ -123,6 +123,14 @@ class TestSynthCommand:
         assert proc.stdout == ""
 
 
+    def test_background_vocabulary_above_2_64_is_a_config_error(
+            self, workdir, capsys):
+        bad = workdir / "huge_vocab_profile.txt"
+        bad.write_text("background_vocab = 1e30\n", encoding="utf-8")
+        assert main(["synth", "--docs", "1", "--profile", str(bad)]) == 2
+        assert "at most 2**64" in capsys.readouterr().err
+
+
 class TestProfileCommand:
     def test_reports_mention_statistics(self, corpus_file, capsys):
         assert main(["profile", "--input", str(corpus_file)]) == 0
@@ -167,6 +175,16 @@ class TestTrainCommand:
                    "--template", str(workdir / "missing.tpl")])
         assert rc == 2
         assert "template not found" in capsys.readouterr().err
+
+    def test_column_past_table_template_is_a_data_error(self, workdir,
+                                                        corpus_file, capsys):
+        template = workdir / "wide.tpl"
+        template.write_text("U00:%x[0,1]\nU01:%x[0,7]\n", encoding="utf-8")
+        rc = main(["train", "--input", str(corpus_file),
+                   "--model", str(workdir / "never.model"), "--type", "ALPHA",
+                   "--template", str(template)])
+        assert rc == 1
+        assert "line 2: column index 7" in capsys.readouterr().err
 
     def test_unknown_scheme_rejected_by_parser(self, corpus_file):
         with pytest.raises(SystemExit) as exc:

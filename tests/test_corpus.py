@@ -32,6 +32,8 @@ class TestModelValidation:
             Span(0, -1, 1, "PROBLEM")
         with pytest.raises(ValueError):
             Span(0, 0, 1, "PRO BLEM")
+        with pytest.raises(ValueError, match="negative sentence index"):
+            Span(-1, 0, 1, "PROBLEM")
 
     def test_document_rejects_out_of_range_spans(self):
         sent = build_sentence(("a", "NN", "O"))
@@ -232,6 +234,12 @@ class TestStandoff:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_standoff(bad)
+
+    def test_negative_sentence_index_rejected_at_its_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_standoff("d\t0\t0\t1\tPROBLEM\nd\t-1\t0\t1\tPROBLEM\n")
+        assert exc.value.line == 2
+        assert "negative sentence index" in str(exc.value)
 
 
 class TestDocumentFromText:

@@ -538,6 +538,25 @@ class TestModelFile:
         assert exc.value.line == len(lines)
         assert "does not match layout" in str(exc.value)
 
+    @pytest.mark.parametrize("transitions", [False, True])
+    def test_rejects_repeated_feature(self, transitions):
+        # the last feature's rows renamed to the first feature
+        scheme = get_scheme("IO")
+        alphabet = FeatureAlphabet(scheme.labels, transitions)
+        for feature in ("U00=alpha", "U00=beta", "U00=gamma"):
+            alphabet.add(feature)
+        template = "U00:%x[0,1]\n" + ("B\n" if transitions else "")
+        model = CrfModel(alphabet, np.zeros(alphabet.dim), scheme,
+                         parse_template(template), "TEST")
+        lines = save_model(model).splitlines()
+        at = next(i for i, line in enumerate(lines) if "U00=gamma" in line)
+        lines[at:at + 2] = [line.replace("U00=gamma", "U00=alpha")
+                            for line in lines[at:at + 2]]
+        with pytest.raises(ParseError) as exc:
+            load_model("\n".join(lines) + "\n")
+        assert exc.value.line == at + 1
+        assert "does not match layout" in str(exc.value)
+
     def test_template_error_carries_model_file_line(self, trained):
         _, model = trained
         lines = save_model(model).splitlines()
@@ -618,11 +637,8 @@ class TestBatchViterbi:
 def oracle_tags(model, sentence):
     """The per-sentence decoder: known features only, then ``viterbi``."""
     a = model.alphabet
-    L = a.n_labels
-    w_node = model.weights[:a.trans_base()].reshape(-1, L)
-    w_trans = (model.weights[a.trans_base():].reshape(L, L)
-               if a.transitions else None)
-    fids = [[fid for fid in map(a.feature_id, feats) if fid is not None]
+    w_node, w_trans = a.split(model.weights)
+    fids = [[fid for fid in map(a.feat_index.get, feats) if fid is not None]
             for feats in expand_sentence(model.template, feature_table(sentence))]
     lat = instance_lattice(Instance(fids, [0] * len(fids)), w_node, w_trans)
     return [a.labels[y] for y in viterbi(lat)]

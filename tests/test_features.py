@@ -4,11 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spantag.errors import ConfigError, ParseError
+from spantag import synth
+from spantag.errors import ParseError
 from spantag.features import (DEFAULT_TEMPLATE_TEXT, default_template, expand,
                               expand_sentence, feature_table, parse_template)
 
 from conftest import build_sentence
+
+
+# characters the template syntax gives meaning to, for mutants
+_MUTATION_CHARS = "0123456789-,[]%x:/UB# \n"
+
+_SYNTH_SENTENCES = [s for doc in synth.generate(synth.default_profile(), 3, 2)
+                    for s in doc.sentences if s.tokens]
 
 
 @pytest.fixture
@@ -51,6 +59,40 @@ class TestParse:
         with pytest.raises(ParseError, match=message) as exc:
             parse_template(bad)
         assert "line" in str(exc.value)
+
+    def test_column_beyond_table_is_parse_error(self):
+        # the feature table has columns 1..6
+        with pytest.raises(ParseError, match="column index 7 outside 1..6") \
+                as exc:
+            parse_template("U00:%x[0,7]\n")
+        assert exc.value.line == 1
+
+    def test_column_beyond_table_rejected_at_its_line(self):
+        # even a rule whose rows may all lie past a sentence's end
+        with pytest.raises(ParseError) as exc:
+            parse_template("# rules\nU00:%x[0,1]\nU01:%x[4,7]\n")
+        assert exc.value.line == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from("idr"),
+                                    st.integers(0, len(DEFAULT_TEMPLATE_TEXT)),
+                                    st.sampled_from(_MUTATION_CHARS)),
+                          min_size=1, max_size=6),
+           pick=st.integers(0, 2**16))
+    def test_mutated_default_template(self, edits, pick):
+        # every mutant fails at a line, or expands like ``expand``
+        text = DEFAULT_TEMPLATE_TEXT
+        for op, at, char in edits:
+            keep = at + (op != "i")  # insert, delete or replace at ``at``
+            text = text[:at] + ("" if op == "d" else char) + text[keep:]
+        try:
+            template = parse_template(text)
+        except ParseError as exc:
+            assert 1 <= exc.line <= len(text.splitlines())
+            return
+        table = feature_table(_SYNTH_SENTENCES[pick % len(_SYNTH_SENTENCES)])
+        assert expand_sentence(template, table) == [
+            expand(template, table, i) for i in range(len(table))]
 
     def test_text_round_trip_through_default(self):
         template = default_template(transitions=True)
@@ -119,21 +161,6 @@ class TestExpand:
         assert first == ["U00=_B-2", "U01=_B-1", "U02=pain"]
         last = expand(template, feature_table(sent), 4)
         assert last == ["U00=pain", "U01=eased", "U02=_B+2"]
-
-    def test_column_beyond_table_is_config_error(self, sent):
-        template = parse_template("U00:%x[0,7]\n")
-        with pytest.raises(ConfigError):
-            expand(template, feature_table(sent), 0)
-        with pytest.raises(ConfigError,
-                           match="rule U00 references column 7, table has 6"):
-            expand_sentence(template, feature_table(sent))
-
-    def test_column_beyond_table_outside_sentence_is_not_checked(self, sent):
-        # every row the rule reads lies past the sentence's end
-        template = parse_template("U00:%x[0,1]\nU01:%x[4,7]\n")
-        table = feature_table(sent)[:2]
-        assert expand_sentence(template, table) == [
-            ["U00=the", "U01=_B+3"], ["U00=chest", "U01=_B+4"]]
 
     def test_template_without_rules(self, sent):
         template = parse_template("B\n")

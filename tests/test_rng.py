@@ -1,6 +1,7 @@
 """Portable RNG: fixed output streams and distributional sanity."""
 
 import numpy as np
+import pytest
 
 from spantag.rng import SplitMix64, derive_seed, fnv1a64, splitmix64
 
@@ -59,6 +60,14 @@ class TestDistributions:
         rng = SplitMix64(8)
         draws = [rng.randrange(7) for _ in range(5000)]
         assert set(draws) == set(range(7))
+
+    def test_randrange_bound_is_2_64(self):
+        rng = SplitMix64(10)
+        assert 0 <= rng.randrange(2**64) < 2**64
+        with pytest.raises(ValueError):
+            rng.randrange(2**64 + 1)  # would leave no accepted draw
+        with pytest.raises(ValueError):
+            rng.randrange(0)
 
     def test_shuffle_is_a_permutation(self):
         rng = SplitMix64(9)

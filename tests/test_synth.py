@@ -45,6 +45,18 @@ class TestGenerateStructure:
         assert generate(profile, 7, 5) == generate(profile, 7, 5)
         assert generate(profile, 7, 5) != generate(profile, 8, 5)
 
+    def test_background_vocabulary_of_2_64_words(self):
+        # words are drawn on demand, so the vocabulary is never listed
+        profile = two_type_profile()
+        profile.background_vocab = 2**64
+        doc, = generate(profile, 5, 1)
+        assert doc == generate(profile, 5, 1)[0]
+        background = [t.surface for s in doc.sentences for t in s.tokens
+                      if t.surface.startswith("bg")]
+        assert background
+        assert all(set(w[2:]) <= set("abcdefghijklmnopqrstuvwxyz")
+                   and len(w) <= 2 + 14 for w in background)  # 26**14 > 2**64
+
     def test_document_ids_and_counts(self):
         docs = generate(two_type_profile(), 1, 12)
         assert [d.id for d in docs] == [f"synth-{i:04d}" for i in range(12)]
@@ -218,6 +230,19 @@ class TestProfileFiles:
         assert profile.sentences_per_doc == 4
         assert profile.background_vocab == 100
         assert isinstance(profile.background_vocab, int)
+
+    def test_incomplete_event_reported_where_it_first_appears(self):
+        with pytest.raises(ParseError) as exc:
+            parse_profile("# c\nALPHA.length.1 = 1\n"
+                          "ALPHA.unique_word_fraction = 0.5\n")
+        assert exc.value.line == 2
+        assert "ALPHA: missing proportion" in str(exc.value)
+
+    def test_background_vocabulary_above_2_64_rejected(self):
+        with pytest.raises(ConfigError, match="at most 2\\*\\*64"):
+            parse_profile("background_vocab = 1e30\n")
+        assert parse_profile("background_vocab = 18446744073709551616\n") \
+            .background_vocab == 2**64
 
     def test_incomplete_event_rejected(self):
         with pytest.raises(ParseError) as exc:
