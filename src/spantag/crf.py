@@ -6,9 +6,11 @@ the L2-regularized negative log-likelihood
 
     f(w) = -sum_s log p(y_s | x_s; w) + ||w||^2 / (2C)
 
-(larger C, weaker regularization).  Inference is all log-space:
-forward-backward for the partition function and marginals, Viterbi
-(lowest-index tie-break) for decoding.
+(larger C, weaker regularization).  Training computes the partition
+function and marginals by scaled forward-backward in probability space,
+and by log-space forward-backward when the transition weights span too
+many nats for scaling; decoding is log-space Viterbi (lowest-index
+tie-break).
 
 Each layout decision has one home.  ``_encode`` expands sentences once
 into a fixed-width (positions, rules) feature-id matrix, for training
@@ -421,6 +423,23 @@ def batch_viterbi(node: np.ndarray, lengths: np.ndarray, w_trans) -> np.ndarray:
 
 # --- objective: batched path (used by train) -------------------------------
 
+# R: the widest transition-weight range (max - min, in nats) for which the
+# scaled forward-backward matches the log-space one to double precision.
+# With T = exp(w_trans - max) every entry of T lies in [e^-R, 1], and each
+# node row is exponentiated after subtracting its maximum, so it holds a 1.
+# Every scaled alpha row sums to 1, so its largest entry is at least 1/L,
+# and the next row's sum c_t >= e^-R / L: no scale underflows (e^-300 / L
+# is far above the smallest normal double, about e^-708).  Two entries of
+# a beta row differ by at most a factor e^R (their rows of T do), and the
+# row's alpha-weighted mean is 1, so beta <= e^R and en * beta / c <=
+# L e^2R: nothing overflows.  A term lost to underflow is below e^-745
+# while the sums it joins are at least e^-R / L, so any path the product
+# form drops is worth at most about e^(-745 + 2R) of Z.  Past R the call
+# takes the log-space recursion; in training only the first line search,
+# which steps along the raw gradient, goes that far.
+_SCALED_RANGE = 300.0
+
+
 class BatchedObjective:
     """Vectorized objective over all sentences at once.
 
@@ -433,6 +452,15 @@ class BatchedObjective:
     fixes their summation order; ``ids`` is the id matrix in that order.
     Empirical counts do not depend on the weights and are folded into one
     constant vector, so f(w) = sum logZ_s - w . emp + ||w||^2/(2C).
+
+    Forward-backward runs in probability space with per-step scaling
+    (Rabiner 1989): the node scores and the transitions are exponentiated
+    once each, every step is one (k, L) @ (L, L) product normalized by
+    its row sums c_t, and log Z is rebuilt from the logs of the scales
+    and of the subtracted maxima.  The transition expectations are then
+    one product over every non-first row.  When the transition weights
+    span more than ``_SCALED_RANGE`` nats, the call takes the log-space
+    recursion instead.
     """
 
     def __init__(self, encoded: EncodedCorpus, gold: np.ndarray, C: float):
@@ -444,6 +472,9 @@ class BatchedObjective:
         # the layout's rows in length-sorted position order
         self.by_sentence = np.argsort(tm.sentence, kind="stable")
         self.ids = encoded.ids[tm.rows[self.by_sentence]]
+        # the previous-step row of each row past step 0
+        self.prev = (np.arange(len(tm.last), tm.off[-1])
+                     - np.repeat(tm.active[:-1], tm.active[1:]))
 
         # constant empirical-count vector; integer counts, so they can be
         # accumulated in input order
@@ -458,11 +489,85 @@ class BatchedObjective:
 
     def __call__(self, weights: np.ndarray):
         a = self.alphabet
-        L = a.n_labels
-        tm = self.tm
         w_node, w_trans = a.split(weights)
-        node = np.empty((len(self.ids), L))
+        node = np.empty((len(self.ids), a.n_labels))
         node[self.by_sentence] = _node_scores(w_node, self.ids)
+        if w_trans is not None and np.ptp(w_trans) > _SCALED_RANGE:
+            log_z, marg, trans_expect = self._log_space(node, w_trans)
+        else:
+            log_z, marg, trans_expect = self._scaled(node, w_trans)
+        marg_t = marg[self.by_sentence].T
+
+        grad = np.zeros_like(weights)
+        g_node, g_trans = a.split(grad)
+        fids = self.ids.ravel()
+        for y in range(a.n_labels):
+            g_node[:, y] = np.bincount(
+                fids, weights=np.repeat(marg_t[y], self.n_rules),
+                minlength=a.n_features)
+        if g_trans is not None:
+            g_trans += trans_expect
+
+        value = log_z - float(np.dot(weights, self.empirical))
+        value += float(np.dot(weights, weights)) / (2.0 * self.C)
+        grad -= self.empirical
+        grad += weights / self.C
+        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+            raise NumericError("non-finite objective evaluation")
+        return value, grad
+
+    def _scaled(self, node: np.ndarray, w_trans):
+        """(sum of log Z, node marginals, transition expectations or None)
+        by scaled forward-backward; overwrites ``node``."""
+        tm = self.tm
+        hi = node.max(axis=1, keepdims=True)
+        en = np.exp(np.subtract(node, hi, out=node), out=node)
+        log_z = float(hi.sum())
+        if w_trans is None:
+            # positions are independent: each alpha row is its node row
+            # normalized, and every beta entry is 1
+            c = en.sum(axis=1)
+            return log_z + float(np.log(c).sum()), en / c[:, None], None
+
+        tmax = w_trans.max()
+        T = np.exp(w_trans - tmax)
+        alpha, c = self._forward(en, T)
+        # beta is 1 at each sentence's last step; u = en * beta / c is the
+        # backward message into a row, and weights its transition counts
+        beta = np.ones_like(en)
+        u = np.divide(en, c[:, None], out=en)
+        for t in range(tm.n_steps - 1, 0, -1):
+            nxt = tm.block(t)
+            u[nxt] *= beta[nxt]
+            np.matmul(u[nxt], T.T, out=beta[tm.block(t - 1, tm.active[t])])
+
+        log_z += float(np.log(c).sum()) + len(self.prev) * float(tmax)
+        trans_expect = T * (alpha[self.prev].T @ u[len(tm.last):])
+        alpha *= beta
+        return log_z, alpha, trans_expect
+
+    def _forward(self, en: np.ndarray, T: np.ndarray):
+        """Scaled forward pass over exponentiated node scores ``en`` and
+        transitions ``T``: alpha with every row normalized to sum 1, and
+        each row's sum before normalizing, its scale c."""
+        tm = self.tm
+        alpha = np.empty_like(en)
+        c = np.empty(len(en))
+        first = tm.block(0)
+        c[first] = en[first].sum(axis=1)
+        np.divide(en[first], c[first, None], out=alpha[first])
+        for t in range(1, tm.n_steps):
+            rows = tm.block(t)
+            cur = np.matmul(alpha[tm.block(t - 1, tm.active[t])], T,
+                            out=alpha[rows])
+            cur *= en[rows]
+            c[rows] = cur.sum(axis=1)
+            cur /= c[rows, None]
+        return alpha, c
+
+    def _log_space(self, node: np.ndarray, w_trans: np.ndarray):
+        """The same triple as ``_scaled``, by log-space forward-backward."""
+        tm = self.tm
         alpha = np.empty_like(node)
         beta = np.zeros_like(node)  # zero at every sentence's last step
         nb = np.empty_like(node)  # node + beta, the backward messages
@@ -472,49 +577,26 @@ class BatchedObjective:
         for t in range(1, tm.n_steps):
             prev = alpha[tm.block(t - 1, tm.active[t])]
             cur = tm.block(t)
-            if w_trans is None:
-                alpha[cur] = node[cur] + _logsumexp(prev, axis=1)[:, None]
-            else:
-                alpha[cur] = node[cur] + _logsumexp(
-                    prev[:, :, None] + w_trans[None], axis=1)
+            alpha[cur] = node[cur] + _logsumexp(
+                prev[:, :, None] + w_trans[None], axis=1)
         for t in range(tm.n_steps - 2, -1, -1):
             nxt = tm.block(t + 1)
             np.add(node[nxt], beta[nxt], out=nb[nxt])
             cur = tm.block(t, tm.active[t + 1])
-            if w_trans is None:
-                beta[cur] = _logsumexp(nb[nxt], axis=1)[:, None]
-            else:
-                beta[cur] = _logsumexp(w_trans[None] + nb[nxt][:, None, :],
-                                       axis=2)
+            beta[cur] = _logsumexp(w_trans[None] + nb[nxt][:, None, :], axis=2)
 
         log_z = _logsumexp(alpha[tm.last], axis=1)
         marg = np.exp(alpha + beta - log_z[tm.sentence][:, None])
-        marg_t = marg[self.by_sentence].T
-
-        grad = np.zeros_like(weights)
-        g_node, g_trans = a.split(grad)
-        fids = self.ids.ravel()
-        for y in range(L):
-            g_node[:, y] = np.bincount(
-                fids, weights=np.repeat(marg_t[y], self.n_rules),
-                minlength=a.n_features)
-        if w_trans is not None:
-            for t in range(1, tm.n_steps):
-                k = tm.active[t]
-                cur = tm.block(t)
-                em = alpha[tm.block(t - 1, k)][:, :, None] + w_trans[None]
-                em += nb[cur][:, None, :]
-                em -= log_z[:k][:, None, None]
-                np.exp(em, out=em)
-                g_trans += em.sum(axis=0)
-
-        value = float(log_z.sum()) - float(np.dot(weights, self.empirical))
-        value += float(np.dot(weights, weights)) / (2.0 * self.C)
-        grad -= self.empirical
-        grad += weights / self.C
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-            raise NumericError("non-finite objective evaluation")
-        return value, grad
+        trans_expect = np.zeros_like(w_trans)
+        for t in range(1, tm.n_steps):
+            k = tm.active[t]
+            cur = tm.block(t)
+            em = alpha[tm.block(t - 1, k)][:, :, None] + w_trans[None]
+            em += nb[cur][:, None, :]
+            em -= log_z[:k][:, None, None]
+            np.exp(em, out=em)
+            trans_expect += em.sum(axis=0)
+        return float(log_z.sum()), marg, trans_expect
 
 
 # --- model ----------------------------------------------------------------

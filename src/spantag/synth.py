@@ -28,6 +28,12 @@ from .rng import SplitMix64
 from .textprep import porter_stem
 
 _PROB_TOL = 1e-6
+# Generation time and memory grow linearly in these two sizes, so one
+# stray profile line could stall or exhaust the machine (20,000 sentences
+# in one document take seconds and tens of MB).  Both limits sit far above
+# the default profile's 4 sentences per document and 6-token mentions.
+_MAX_SENTENCES_PER_DOC = 1000
+_MAX_MENTION_LENGTH = 1000
 
 _BACKGROUND_POS = ("VB", "IN", "JJ", "RB", "CC", "MD")
 _NOUN_POS = ("NN", "NNS")
@@ -62,6 +68,9 @@ class SynthProfile:
             raise ConfigError("background vocabulary must be at most 2**64")
         if self.sentences_per_doc < 1:
             raise ConfigError("sentences_per_doc must be >= 1")
+        if self.sentences_per_doc > _MAX_SENTENCES_PER_DOC:
+            raise ConfigError(
+                f"sentences_per_doc must be at most {_MAX_SENTENCES_PER_DOC}")
         if not 0 <= self.determiner_fraction <= 1:
             raise ConfigError("determiner_fraction must be in [0,1]")
         if not 0 <= self.pos_noise <= 1:
@@ -91,6 +100,9 @@ class SynthProfile:
                     f"{name}: length histogram sums to {hist_total}, not 1")
             if any(k < 1 or p < 0 for k, p in spec.length_hist.items()):
                 raise ConfigError(f"{name}: bad length histogram")
+            if max(spec.length_hist) > _MAX_MENTION_LENGTH:
+                raise ConfigError(f"{name}: mention length must be at most "
+                                  f"{_MAX_MENTION_LENGTH}")
             if not 0 <= spec.acronym_fraction <= 1:
                 raise ConfigError(f"{name}: bad acronym fraction")
             if not 0 < spec.unique_word_fraction <= 1:

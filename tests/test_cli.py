@@ -131,6 +131,23 @@ class TestSynthCommand:
         assert "at most 2**64" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("text,message", [
+        ("sentences_per_doc = 20000\n",
+         "sentences_per_doc must be at most 1000"),
+        ("A.proportion = 1\nA.length.20000 = 1\n"
+         "A.unique_word_fraction = 0.5\n",
+         "A: mention length must be at most 1000"),
+    ])
+    def test_oversized_documents_are_a_config_error(self, workdir, capsys,
+                                                    text, message):
+        bad = workdir / "oversized_profile.txt"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["synth", "--docs", "1", "--profile", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
 class TestProfileCommand:
     def test_reports_mention_statistics(self, corpus_file, capsys):
         assert main(["profile", "--input", str(corpus_file)]) == 0

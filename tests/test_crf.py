@@ -20,6 +20,8 @@ from spantag.crf import (
     Instance,
     Lattice,
     TrainerConfig,
+    _node_scores,
+    _SCALED_RANGE,
     batch_viterbi,
     build_alphabet,
     forward_backward,
@@ -255,6 +257,84 @@ class TestObjective:
         got = batched(instances, alphabet, C=1.0)(w)
         assert abs(got[0] - want[0]) < 1e-12
         np.testing.assert_allclose(got[1], want[1], atol=1e-12)
+
+
+def assert_batched_matches_reference(instances, alphabet, w, C=0.7):
+    want_value, want_grad = objective_and_gradient(w, instances, alphabet, C)
+    got_value, got_grad = batched(instances, alphabet, C)(w)
+    assert abs(got_value - want_value) <= 1e-10 * max(1.0, abs(want_value))
+    np.testing.assert_allclose(got_grad, want_grad, atol=1e-10)
+
+
+def forbid(monkeypatch, method):
+    def fail(*args):
+        raise AssertionError(f"BatchedObjective.{method} was called")
+    monkeypatch.setattr(BatchedObjective, method, fail)
+
+
+class TestScaledForwardBackward:
+    """The scaled (probability-space) path against the log-space oracle."""
+
+    def test_extreme_weights_on_long_sentences(self, monkeypatch):
+        # weights x50 spread node rows and transitions over hundreds of
+        # nats, and 30+ steps compound the scales
+        rng = np.random.default_rng(69)
+        alphabet = toy_alphabet(8, 3, transitions=True)
+        instances = []
+        for n in (30, 34, 41, 1, 37):
+            feats = [sorted(rng.choice(8, size=2, replace=False).tolist())
+                     for _ in range(n)]
+            instances.append(Instance(feats, rng.integers(0, 3, n).tolist()))
+        w = 50.0 * rng.normal(0.0, 1.0, size=alphabet.dim)
+        w_node, w_trans = alphabet.split(w)
+        assert 150 < np.ptp(w_trans) <= _SCALED_RANGE
+        forbid(monkeypatch, "_log_space")
+        assert_batched_matches_reference(instances, alphabet, w)
+
+        objective = batched(instances, alphabet, C=0.7)
+        ids = np.array([f for inst in instances for f in inst.feats])
+        node = _node_scores(w_node, ids)[objective.tm.rows]
+        en = np.exp(node - node.max(axis=1, keepdims=True))
+        alpha, c = objective._forward(en, np.exp(w_trans - w_trans.max()))
+        assert np.all(c >= np.finfo(float).tiny)  # no scale 0 or subnormal
+        assert c.min() < 1e-50  # while the case drives some far below 1
+        np.testing.assert_allclose(alpha.sum(axis=1), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("span,skipped", [
+        (_SCALED_RANGE - 1.0, "_log_space"),
+        (_SCALED_RANGE + 1.0, "_scaled"),
+    ])
+    def test_transition_range_selects_the_path(self, monkeypatch, span,
+                                               skipped):
+        rng = np.random.default_rng(7)
+        alphabet = toy_alphabet(6, 3, transitions=True)
+        instances = toy_instances(rng, alphabet, 9, 12)
+        w = rng.normal(0.0, 1.0, size=alphabet.dim)
+        _, w_trans = alphabet.split(w)
+        w_trans[:] = rng.permutation(np.linspace(-span / 2, span / 2, 9)
+                                     ).reshape(3, 3)
+        forbid(monkeypatch, skipped)
+        assert_batched_matches_reference(instances, alphabet, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_labels=st.integers(1, 4),
+           n_rules=st.integers(0, 3), transitions=st.booleans(),
+           lengths=st.lists(st.integers(0, 9), min_size=1, max_size=7)
+           .filter(any),
+           scale=st.sampled_from([0.1, 1.0, 8.0]))
+    def test_random_batches_match_reference(self, seed, n_labels, n_rules,
+                                            transitions, lengths, scale):
+        # 0- and 1-token sentences, and templates with no rules at all
+        rng = np.random.default_rng(seed)
+        alphabet = toy_alphabet(n_rules and n_rules + 2, n_labels, transitions)
+        instances = [
+            Instance([sorted(rng.choice(alphabet.n_features, size=n_rules,
+                                        replace=False).tolist())
+                      for _ in range(n)],
+                     rng.integers(0, n_labels, n).tolist())
+            for n in lengths]
+        w = rng.normal(0.0, scale, size=alphabet.dim)
+        assert_batched_matches_reference(instances, alphabet, w)
 
 
 # --- instances from real sentences -------------------------------------------
@@ -683,11 +763,14 @@ class TestModelTagging:
 def test_golden_digests():
     """synth -> train -> save_model -> load_model -> tag -> write_column_file.
 
-    The digests were computed before the batched decoder and the
-    time-major objective replaced the per-sentence paths, so they pin the
-    output bytes across such rewrites.  They hold for one numpy build: a
-    different exp/log implementation may change the last bits of the
-    weights, and the digests must then be recomputed on the parent commit.
+    The tagged-file digest was computed before the batched decoder and
+    the time-major objective replaced the per-sentence paths, so it pins
+    the output bytes across such rewrites.  The model-file digest was
+    re-pinned when the objective moved to scaled forward-backward: the
+    summation order changed, and with it the last bits of the weights,
+    but not one tag.  Both hold for one numpy build: a different exp/log
+    implementation may change the last bits of the weights, and the
+    digests must then be recomputed on the parent commit.
     """
     docs = synth.generate(synth.default_profile(), 2024, 30)
     model = train(docs[:20], default_template(transitions=True),
@@ -700,6 +783,6 @@ def test_golden_digests():
               for d in docs[20:]]
     out = write_column_file(tagged, clone.scheme, ["PROBLEM"])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "12ff0d050d887ead75e4a6774b5453c6c2e5dbb48ab9158e10844f5353b3988d")
+        "5019dbe2e0eccf0b5b71b29c29a4ddb38f26e4c849ecf37e31923c75a605532d")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a906f8cd2728672c0280059309ed303829e2d149fcbb43036f822dbe5d584a8f")

@@ -244,6 +244,24 @@ class TestProfileFiles:
         assert parse_profile("background_vocab = 18446744073709551616\n") \
             .background_vocab == 2**64
 
+    @pytest.mark.parametrize("text,message", [
+        ("sentences_per_doc = 1001\n",
+         "sentences_per_doc must be at most 1000"),
+        ("ALPHA.proportion = 1\nALPHA.length.20000 = 1\n"
+         "ALPHA.unique_word_fraction = 0.5\n",
+         "ALPHA: mention length must be at most 1000"),
+    ])
+    def test_document_sizes_are_bounded(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_profile(text)
+
+    def test_largest_document_sizes_accepted(self):
+        profile = parse_profile("sentences_per_doc = 1000\n"
+                                "ALPHA.proportion = 1\nALPHA.length.1000 = 1\n"
+                                "ALPHA.unique_word_fraction = 0.5\n")
+        assert profile.sentences_per_doc == 1000
+        assert profile.events["ALPHA"].length_hist == {1000: 1.0}
+
     def test_incomplete_event_rejected(self):
         with pytest.raises(ParseError) as exc:
             parse_profile("ALPHA.proportion = 1.0\n"
