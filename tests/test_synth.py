@@ -244,17 +244,6 @@ class TestProfileFiles:
         assert parse_profile("background_vocab = 18446744073709551616\n") \
             .background_vocab == 2**64
 
-    @pytest.mark.parametrize("text,message", [
-        ("sentences_per_doc = 1001\n",
-         "sentences_per_doc must be at most 1000"),
-        ("ALPHA.proportion = 1\nALPHA.length.20000 = 1\n"
-         "ALPHA.unique_word_fraction = 0.5\n",
-         "ALPHA: mention length must be at most 1000"),
-    ])
-    def test_document_sizes_are_bounded(self, text, message):
-        with pytest.raises(ConfigError, match=message):
-            parse_profile(text)
-
     def test_largest_document_sizes_accepted(self):
         profile = parse_profile("sentences_per_doc = 1000\n"
                                 "ALPHA.proportion = 1\nALPHA.length.1000 = 1\n"
@@ -320,12 +309,19 @@ class TestProfileValidation:
         ("sentences_per_doc", 0), ("mention_rate", -1.0),
         ("determiner_fraction", 1.5), ("pos_noise", -0.1),
         ("trigger_fraction", 2.0), ("background_vocab", 0),
+        ("sentences_per_doc", 1001),
     ])
     def test_global_field_ranges(self, field, value):
         profile = SynthProfile(self.base_events())
         setattr(profile, field, value)
         with pytest.raises(ConfigError):
             profile.validate()
+
+    def test_mention_length_is_bounded(self):
+        events = {"ALPHA": EventSpec(1.0, {1000: 0.5, 1001: 0.5}, 0.5)}
+        with pytest.raises(ConfigError,
+                           match="ALPHA: mention length must be at most 1000"):
+            SynthProfile(events).validate()
 
     def test_unique_fraction_must_be_positive(self):
         events = {"ALPHA": EventSpec(1.0, {1: 1.0}, 0.0)}
