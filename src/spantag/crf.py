@@ -10,7 +10,10 @@ the L2-regularized negative log-likelihood
 function and marginals by scaled forward-backward in probability space,
 and by log-space forward-backward when the transition weights span too
 many nats for scaling; decoding is log-space Viterbi (lowest-index
-tie-break).
+tie-break).  The objective is lazy, as ``optim.minimize`` expects: a
+call runs the forward pass for f(w) and returns a function that runs
+the backward pass for the gradient, so a rejected line-search trial
+costs one forward pass.
 
 Each layout decision has one home.  ``_encode`` expands sentences once
 into a fixed-width (positions, rules) feature-id matrix, for training
@@ -461,6 +464,13 @@ class BatchedObjective:
     one product over every non-first row.  When the transition weights
     span more than ``_SCALED_RANGE`` nats, the call takes the log-space
     recursion instead.
+
+    A call computes the node scores and the forward pass, which give the
+    value, and returns it with ``partial(self.gradient, weights,
+    backward)``.  ``backward`` holds the forward state; the gradient runs
+    the backward pass, the marginals, the transition expectations and the
+    node-gradient ``bincount`` from it.  Dropping the function releases
+    that state.
     """
 
     def __init__(self, encoded: EncodedCorpus, gold: np.ndarray, C: float):
@@ -488,14 +498,29 @@ class BatchedObjective:
         self.empirical = emp
 
     def __call__(self, weights: np.ndarray):
+        """(f(w), gradient function): the value from the node scores and
+        the forward pass alone; calling the function runs the rest."""
         a = self.alphabet
         w_node, w_trans = a.split(weights)
         node = np.empty((len(self.ids), a.n_labels))
         node[self.by_sentence] = _node_scores(w_node, self.ids)
         if w_trans is not None and np.ptp(w_trans) > _SCALED_RANGE:
-            log_z, marg, trans_expect = self._log_space(node, w_trans)
+            log_z, backward = self._log_space(node, w_trans)
         else:
-            log_z, marg, trans_expect = self._scaled(node, w_trans)
+            log_z, backward = self._scaled(node, w_trans)
+
+        value = log_z - float(np.dot(weights, self.empirical))
+        value += float(np.dot(weights, weights)) / (2.0 * self.C)
+        if not np.isfinite(value):
+            raise NumericError("non-finite objective evaluation")
+        return value, partial(self.gradient, weights, backward)
+
+    def gradient(self, weights: np.ndarray, backward) -> np.ndarray:
+        """The gradient at ``weights`` from the forward pass's ``backward``
+        function.  ``backward`` overwrites the forward state, so a gradient
+        function that a call returned gives one gradient: call it once."""
+        a = self.alphabet
+        marg, trans_expect = backward()
         marg_t = marg[self.by_sentence].T
 
         grad = np.zeros_like(weights)
@@ -508,18 +533,16 @@ class BatchedObjective:
         if g_trans is not None:
             g_trans += trans_expect
 
-        value = log_z - float(np.dot(weights, self.empirical))
-        value += float(np.dot(weights, weights)) / (2.0 * self.C)
         grad -= self.empirical
         grad += weights / self.C
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+        if not np.all(np.isfinite(grad)):
             raise NumericError("non-finite objective evaluation")
-        return value, grad
+        return grad
 
     def _scaled(self, node: np.ndarray, w_trans):
-        """(sum of log Z, node marginals, transition expectations or None)
-        by scaled forward-backward; overwrites ``node``."""
-        tm = self.tm
+        """(sum of log Z, backward function) by scaled forward; overwrites
+        ``node``.  The function returns the node marginals and the
+        transition expectations (or None)."""
         hi = node.max(axis=1, keepdims=True)
         en = np.exp(np.subtract(node, hi, out=node), out=node)
         log_z = float(hi.sum())
@@ -527,24 +550,14 @@ class BatchedObjective:
             # positions are independent: each alpha row is its node row
             # normalized, and every beta entry is 1
             c = en.sum(axis=1)
-            return log_z + float(np.log(c).sum()), en / c[:, None], None
+            return (log_z + float(np.log(c).sum()),
+                    lambda: (en / c[:, None], None))
 
         tmax = w_trans.max()
         T = np.exp(w_trans - tmax)
         alpha, c = self._forward(en, T)
-        # beta is 1 at each sentence's last step; u = en * beta / c is the
-        # backward message into a row, and weights its transition counts
-        beta = np.ones_like(en)
-        u = np.divide(en, c[:, None], out=en)
-        for t in range(tm.n_steps - 1, 0, -1):
-            nxt = tm.block(t)
-            u[nxt] *= beta[nxt]
-            np.matmul(u[nxt], T.T, out=beta[tm.block(t - 1, tm.active[t])])
-
         log_z += float(np.log(c).sum()) + len(self.prev) * float(tmax)
-        trans_expect = T * (alpha[self.prev].T @ u[len(tm.last):])
-        alpha *= beta
-        return log_z, alpha, trans_expect
+        return log_z, partial(self._backward, en, T, alpha, c)
 
     def _forward(self, en: np.ndarray, T: np.ndarray):
         """Scaled forward pass over exponentiated node scores ``en`` and
@@ -565,13 +578,28 @@ class BatchedObjective:
             cur /= c[rows, None]
         return alpha, c
 
+    def _backward(self, en, T, alpha, c):
+        """Scaled backward pass reusing the forward scales: (node
+        marginals, transition expectations); overwrites ``en`` and
+        ``alpha``."""
+        tm = self.tm
+        # beta is 1 at each sentence's last step; u = en * beta / c is the
+        # backward message into a row, and weights its transition counts
+        beta = np.ones_like(en)
+        u = np.divide(en, c[:, None], out=en)
+        for t in range(tm.n_steps - 1, 0, -1):
+            nxt = tm.block(t)
+            u[nxt] *= beta[nxt]
+            np.matmul(u[nxt], T.T, out=beta[tm.block(t - 1, tm.active[t])])
+
+        trans_expect = T * (alpha[self.prev].T @ u[len(tm.last):])
+        alpha *= beta
+        return alpha, trans_expect
+
     def _log_space(self, node: np.ndarray, w_trans: np.ndarray):
-        """The same triple as ``_scaled``, by log-space forward-backward."""
+        """The same pair as ``_scaled``, by log-space forward-backward."""
         tm = self.tm
         alpha = np.empty_like(node)
-        beta = np.zeros_like(node)  # zero at every sentence's last step
-        nb = np.empty_like(node)  # node + beta, the backward messages
-
         first = tm.block(0)
         alpha[first] = node[first]
         for t in range(1, tm.n_steps):
@@ -579,13 +607,21 @@ class BatchedObjective:
             cur = tm.block(t)
             alpha[cur] = node[cur] + _logsumexp(
                 prev[:, :, None] + w_trans[None], axis=1)
+        log_z = _logsumexp(alpha[tm.last], axis=1)
+        return float(log_z.sum()), partial(self._log_space_backward, node,
+                                           w_trans, alpha, log_z)
+
+    def _log_space_backward(self, node, w_trans, alpha, log_z):
+        """The pair ``_backward`` returns, by log-space backward."""
+        tm = self.tm
+        beta = np.zeros_like(node)  # zero at every sentence's last step
+        nb = np.empty_like(node)  # node + beta, the backward messages
         for t in range(tm.n_steps - 2, -1, -1):
             nxt = tm.block(t + 1)
             np.add(node[nxt], beta[nxt], out=nb[nxt])
             cur = tm.block(t, tm.active[t + 1])
             beta[cur] = _logsumexp(w_trans[None] + nb[nxt][:, None, :], axis=2)
 
-        log_z = _logsumexp(alpha[tm.last], axis=1)
         marg = np.exp(alpha + beta - log_z[tm.sentence][:, None])
         trans_expect = np.zeros_like(w_trans)
         for t in range(1, tm.n_steps):
@@ -596,7 +632,7 @@ class BatchedObjective:
             em -= log_z[:k][:, None, None]
             np.exp(em, out=em)
             trans_expect += em.sum(axis=0)
-        return float(log_z.sum()), marg, trans_expect
+        return marg, trans_expect
 
 
 # --- model ----------------------------------------------------------------

@@ -327,6 +327,8 @@ def crossval(docs: list[Document], cv: CvConfig,
     follows corpus order so results are bit-reproducible regardless of
     ``jobs``.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if template is None:
         from .features import default_template
         template = default_template(transitions=True)

@@ -420,5 +420,7 @@ class _Generator:
 
 def generate(profile: SynthProfile, seed: int, n_documents: int) -> list[Document]:
     """Deterministic corpus: same (profile, seed, n) -> identical output."""
+    if n_documents < 0:
+        raise ConfigError(f"document count must be >= 0, got {n_documents}")
     gen = _Generator(profile, seed)
     return [gen.document(i) for i in range(n_documents)]

@@ -123,6 +123,14 @@ class TestSynthCommand:
         assert proc.stdout == ""
 
 
+    def test_negative_document_count_is_a_config_error(self, workdir,
+                                                       profile_file, capsys):
+        out = workdir / "negative_docs.tsv"
+        assert main(["synth", "--docs", "-1", "--profile", str(profile_file),
+                     "--output", str(out)]) == 2
+        assert "document count must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_background_vocabulary_above_2_64_is_a_config_error(
             self, workdir, capsys):
         bad = workdir / "huge_vocab_profile.txt"
@@ -366,6 +374,14 @@ class TestCrossvalAndStats:
         rc = main(["stats", "--matrix", str(path)])
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_a_config_error(self, corpus_file, capsys, jobs):
+        rc = main(["crossval", "--input", str(corpus_file),
+                   "--repeats", "1", "--folds", "2", "--models", "IO",
+                   "--types", "ALPHA", "--jobs", jobs])
+        assert rc == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
     def test_unknown_model_name(self, corpus_file, capsys):
         rc = main(["crossval", "--input", str(corpus_file),

@@ -38,7 +38,7 @@ from spantag.errors import ConfigError, ParseError
 from spantag.features import (default_template, expand_sentence,
                                feature_table, parse_template)
 from spantag.postprocess import pipeline_spans
-from spantag.schemes import get_scheme
+from spantag.schemes import SCHEME_NAMES, get_scheme
 
 from conftest import build_doc, build_sentence
 
@@ -235,7 +235,8 @@ class TestObjective:
             w = rng.normal(0.0, 1.0, size=alphabet.dim)
             want_value, want_grad = objective_and_gradient(
                 w, instances, alphabet, C=0.7)
-            got_value, got_grad = objective(w)
+            got_value, grad = objective(w)
+            got_grad = grad()
             assert abs(got_value - want_value) <= 1e-10 * max(1.0, abs(want_value))
             np.testing.assert_allclose(got_grad, want_grad, atol=1e-10)
 
@@ -244,9 +245,9 @@ class TestObjective:
         instances = [Instance([[0]], [1]), Instance([[1], [0]], [0, 1])]
         w = np.linspace(-1.0, 1.0, alphabet.dim)
         want = objective_and_gradient(w, instances, alphabet, C=1.0)
-        got = batched(instances, alphabet, C=1.0)(w)
-        assert abs(got[0] - want[0]) < 1e-12
-        np.testing.assert_allclose(got[1], want[1], atol=1e-12)
+        got_value, grad = batched(instances, alphabet, C=1.0)(w)
+        assert abs(got_value - want[0]) < 1e-12
+        np.testing.assert_allclose(grad(), want[1], atol=1e-12)
 
     def test_batched_handles_templates_without_rules(self):
         # only transition weights: every position has zero node features
@@ -254,14 +255,15 @@ class TestObjective:
         instances = [Instance([[], [], []], [0, 2, 1]), Instance([[]], [2])]
         w = np.linspace(-1.0, 1.0, alphabet.dim)
         want = objective_and_gradient(w, instances, alphabet, C=1.0)
-        got = batched(instances, alphabet, C=1.0)(w)
-        assert abs(got[0] - want[0]) < 1e-12
-        np.testing.assert_allclose(got[1], want[1], atol=1e-12)
+        got_value, grad = batched(instances, alphabet, C=1.0)(w)
+        assert abs(got_value - want[0]) < 1e-12
+        np.testing.assert_allclose(grad(), want[1], atol=1e-12)
 
 
 def assert_batched_matches_reference(instances, alphabet, w, C=0.7):
     want_value, want_grad = objective_and_gradient(w, instances, alphabet, C)
-    got_value, got_grad = batched(instances, alphabet, C)(w)
+    got_value, grad = batched(instances, alphabet, C)(w)
+    got_grad = grad()
     assert abs(got_value - want_value) <= 1e-10 * max(1.0, abs(want_value))
     np.testing.assert_allclose(got_grad, want_grad, atol=1e-10)
 
@@ -482,6 +484,14 @@ class TestTraining:
 
 # --- serialization ------------------------------------------------------------
 
+# feature strings hold any printable text; a tab or a line break would
+# split a weight row
+_FEATURE_STRINGS = st.text(
+    st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")),
+    min_size=1, max_size=10)
+_AWKWARD_WEIGHTS = (-0.0, 5e-324, 1e308, -1e308)
+
+
 class TestModelFile:
     def test_round_trip_is_exact(self, trained):
         docs, model = trained
@@ -512,6 +522,32 @@ class TestModelFile:
                          parse_template("U00:%x[0,1]\nB\n"), "TEST")
         clone = load_model(save_model(model))
         assert np.array_equal(clone.weights, weights)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), scheme_name=st.sampled_from(SCHEME_NAMES),
+           transitions=st.booleans(),
+           features=st.lists(_FEATURE_STRINGS, min_size=2, max_size=6,
+                             unique=True))
+    def test_save_load_save_is_byte_identical(self, data, scheme_name,
+                                              transitions, features):
+        scheme = get_scheme(scheme_name)
+        alphabet = FeatureAlphabet(scheme.labels, transitions)
+        for feature in features:
+            alphabet.add(feature)
+        # the awkward values first, then arbitrary finite doubles, shuffled
+        drawn = data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=alphabet.dim - len(_AWKWARD_WEIGHTS),
+            max_size=alphabet.dim - len(_AWKWARD_WEIGHTS)))
+        weights = np.array(data.draw(st.permutations(
+            list(_AWKWARD_WEIGHTS) + drawn)))
+        template = parse_template("U00:%x[0,1]\nB\n" if transitions
+                                  else "U00:%x[0,1]\n")
+        text = save_model(CrfModel(alphabet, weights, scheme, template, "TEST"))
+        clone = load_model(text)
+        assert clone.weights.tobytes() == weights.tobytes()  # -0.0 included
+        assert clone.alphabet.feature_strings() == features
+        assert save_model(clone) == text
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ParseError) as exc:
@@ -786,3 +822,16 @@ def test_golden_digests():
         "5019dbe2e0eccf0b5b71b29c29a4ddb38f26e4c849ecf37e31923c75a605532d")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a906f8cd2728672c0280059309ed303829e2d149fcbb43036f822dbe5d584a8f")
+
+
+def test_golden_digest_without_transitions():
+    """The model-file bytes of a transitions-off training, which takes the
+    forward pass's no-transitions branch (each alpha row is its node row
+    normalized, with no step loop).  Computed before the objective's
+    gradient became lazy; the same numpy caveat as above applies."""
+    docs = synth.generate(synth.default_profile(), 2024, 30)
+    model = train(docs[:20], default_template(transitions=False),
+                  get_scheme("IOBW"), "PROBLEM", TrainerConfig(max_iterations=15))
+    assert not model.alphabet.transitions
+    assert hashlib.sha256(save_model(model).encode()).hexdigest() == (
+        "081f349f6743594c3a2c1c216d99d3c22305d5e6eca54563e358265d00e4b0f6")
