@@ -257,9 +257,9 @@ def parse_column_file(text: str) -> list[Document]:
                                      sent_index, first_line, builder.spans)
             else:
                 for i, lab in enumerate(column):
-                    if lab != "O" and "-" not in lab:
+                    if lab != "O" and not _TYPE_RE.match(lab.partition("-")[2]):
                         raise ParseError(
-                            f"joint label {lab!r} missing type suffix",
+                            f"joint label {lab!r} lacks a valid type suffix",
                             first_line + i)
                 types = sorted({lab.partition("-")[2] for lab in column
                                 if lab != "O"})

@@ -1,9 +1,9 @@
 """L-BFGS minimizer with Armijo backtracking line search.
 
 Tailored to the training objective's needs: limited memory (default
-10), halving line search with c1 = 1e-4, convergence when the relative
-objective decrease stays below ``eta`` for three consecutive
-iterations, and a single steepest-descent restart before giving up.
+10), halving line search with the fixed constant c1 = 1e-4 (``_C1``),
+and convergence when the relative objective decrease stays below
+``eta`` for three consecutive iterations.
 
 Gradients are lazy.  ``fun(x)`` returns ``(value, gradient)``, where
 ``gradient()`` computes the gradient at x.  The sufficient-decrease
@@ -14,9 +14,16 @@ each closure before the next evaluation, so at most one trial's state
 is alive at a time.  Trials are written in place into a vector that
 trades places with the iterate at each accepted step, so ``fun`` and
 its gradient function must not keep ``x`` past the gradient call or
-the trial's rejection.  Each curvature pair (s, y) enters memory with
-its rho = 1 / (y . s), computed once, and the two-loop recursion does
-its updates through one scratch vector.
+the trial's rejection.
+
+The curvature history lives in two preallocated ``(memory + 1, dim)``
+arrays S and Y, with rho = 1 / (y . s) per slot and a list of the
+slots in use, oldest first.  Each new pair is written in place into a
+slot outside that list and joins it only if it passes the curvature
+test, so a rejected pair never displaces a kept one; a reset empties
+the list.  There is one restart path: when the L-BFGS direction goes
+uphill or its line search fails, the history is reset and the
+iteration retried along -g, and a failure with no history raises.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +35,7 @@ from .errors import NumericError, TrainingError
 _CONVERGENCE_WINDOW = 3
 _MIN_STEP = 1e-20
 _CURVATURE_EPS = 1e-12
+_C1 = 1e-4  # Armijo sufficient-decrease constant
 
 
 @dataclass
@@ -44,26 +52,26 @@ class IterationLog:
         self.entries.append((iteration, value, grad_norm, step))
 
 
-def _two_loop(grad, s_list, y_list, rho_list):
-    """Implicit product of the L-BFGS inverse Hessian with the gradient."""
+def _two_loop(grad, S, Y, rho, order):
+    """Implicit product of the L-BFGS inverse Hessian with the gradient,
+    over the history slots in ``order`` (oldest first)."""
     q = grad.copy()
     buf = np.empty_like(q)
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-        a = rho * float(np.dot(s, q))
+    for i in reversed(order):
+        a = rho[i] * float(np.dot(S[i], q))
         alphas.append(a)
-        q -= np.multiply(a, y, out=buf)
-    s, y = s_list[-1], y_list[-1]
-    gamma = float(np.dot(s, y)) / float(np.dot(y, y))
-    q *= gamma
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
-        b = rho * float(np.dot(y, q))
-        q += np.multiply(a - b, s, out=buf)
+        q -= np.multiply(a, Y[i], out=buf)
+    s, y = S[order[-1]], Y[order[-1]]
+    q *= float(np.dot(s, y)) / float(np.dot(y, y))
+    for i, a in zip(order, reversed(alphas)):
+        b = rho[i] * float(np.dot(Y[i], q))
+        q += np.multiply(a - b, S[i], out=buf)
     return q
 
 
 def minimize(fun, x0, *, memory: int = 10, eta: float = 1e-4,
-             max_iterations: int = 500, c1: float = 1e-4):
+             max_iterations: int = 500):
     """Minimize ``fun`` (returning (value, gradient function)) from ``x0``.
 
     Returns (x, IterationLog).  Raises a training error carrying the
@@ -82,74 +90,56 @@ def minimize(fun, x0, *, memory: int = 10, eta: float = 1e-4,
     g = gradient()
     del gradient
     _check_finite(f, g)
-    s_list: list[np.ndarray] = []
-    y_list: list[np.ndarray] = []
-    rho_list: list[float] = []
+    S = np.empty((memory + 1, x.size))
+    Y = np.empty_like(S)
+    rho = [0.0] * (memory + 1)
+    order: list[int] = []  # history slots in use, oldest first
     flat_count = 0
 
     for iteration in range(1, max_iterations + 1):
-        if s_list:
-            direction = _two_loop(g, s_list, y_list, rho_list)
-            np.negative(direction, out=direction)
-        else:
-            direction = -g
-        slope = float(np.dot(g, direction))
-        if slope > 0:
-            # not a descent direction; fall back to steepest descent
-            s_list.clear()
-            y_list.clear()
-            rho_list.clear()
-            direction = -g
-            slope = -float(np.dot(g, g))
-
-        step, f_new, gradient = _line_search(fun, x, f, direction, slope,
-                                             c1, log, trial)
-        if step is None:
-            if s_list:
-                # restart once from steepest descent
-                s_list.clear()
-                y_list.clear()
-                rho_list.clear()
+        log.iterations = iteration
+        while True:
+            if order:
+                direction = _two_loop(g, S, Y, rho, order)
+                np.negative(direction, out=direction)
+            else:
                 direction = -g
-                slope = -float(np.dot(g, g))
-                step, f_new, gradient = _line_search(
-                    fun, x, f, direction, slope, c1, log, trial)
-            if step is None:
-                log.iterations = iteration
+            slope = float(np.dot(g, direction))
+            if slope <= 0:
+                step, f_new, gradient = _line_search(fun, x, f, direction,
+                                                     slope, log, trial)
+                if step is not None:
+                    break
+            if not order:
                 raise TrainingError(
                     f"line search failed at iteration {iteration}",
                     weights=x, log=log)
+            order.clear()  # uphill or failed: restart from steepest descent
         g_new = gradient()
         del gradient  # the accepted trial's state is not needed again
         _check_finite(f_new, g_new)
 
-        s = trial - x
-        y = g_new - g
+        slot = next(i for i in range(memory + 1) if i not in order)
+        s = np.subtract(trial, x, out=S[slot])
+        y = np.subtract(g_new, g, out=Y[slot])
         if float(np.dot(s, y)) > _CURVATURE_EPS:
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / float(np.dot(y, s)))
-            if len(s_list) > memory:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            rho[slot] = 1.0 / float(np.dot(y, s))
+            order.append(slot)
+            if len(order) > memory:
+                order.pop(0)
 
-        decrease = f - f_new
-        rel = decrease / max(abs(f), 1e-12)
+        rel = (f - f_new) / max(abs(f), 1e-12)
         log.add(iteration, f_new, float(np.linalg.norm(g_new)), step)
         x, trial, f, g = trial, x, f_new, g_new
 
         flat_count = flat_count + 1 if rel < eta else 0
         if flat_count >= _CONVERGENCE_WINDOW:
             log.converged = True
-            log.iterations = iteration
-            return x, log
-
-    log.iterations = max_iterations
+            break
     return x, log
 
 
-def _line_search(fun, x, f, direction, slope, c1, log, trial):
+def _line_search(fun, x, f, direction, slope, log, trial):
     """Halve the step from 1 until a trial passes the sufficient-decrease
     test on its value alone: (step, value, gradient function), or three
     Nones.  Each trial x + step * direction is written into ``trial``."""
@@ -158,7 +148,7 @@ def _line_search(fun, x, f, direction, slope, c1, log, trial):
         np.add(x, np.multiply(step, direction, out=trial), out=trial)
         f_new, gradient = fun(trial)
         log.evaluations += 1
-        if np.isfinite(f_new) and f_new <= f + c1 * step * slope:
+        if np.isfinite(f_new) and f_new <= f + _C1 * step * slope:
             return step, f_new, gradient
         del gradient  # release the rejected trial's state before the next
         log.backtracks += 1

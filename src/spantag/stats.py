@@ -230,6 +230,7 @@ def parse_matrix(text: str) -> RunMatrix:
         raise ParseError("missing run-matrix header",
                          lines[0][0] if lines else 1)
     cells_by_key: dict[tuple[str, str], dict[tuple[int, int], tuple[float, float]]] = {}
+    first_line: dict[str, int] = {}  # event type -> line of its first row
     max_repeat = max_fold = 0
     for line_no, raw in lines[1:]:
         parts = raw.split("\t")
@@ -248,6 +249,7 @@ def parse_matrix(text: str) -> RunMatrix:
             raise ParseError(
                 f"repeat and fold must be non-negative, got {repeat}, {fold}",
                 line_no)
+        first_line.setdefault(event_type, line_no)
         cells = cells_by_key.setdefault((event_type, model), {})
         if (repeat, fold) in cells:
             raise ParseError(f"duplicate cell ({event_type}, {model}, "
@@ -256,13 +258,12 @@ def parse_matrix(text: str) -> RunMatrix:
         max_repeat = max(max_repeat, repeat)
         max_fold = max(max_fold, fold)
     repeats, folds = max_repeat + 1, max_fold + 1
-    event_types: list[str] = []
-    models: list[str] = []
-    for event_type, model in cells_by_key:
-        if event_type not in event_types:
-            event_types.append(event_type)
-        if model not in models:
-            models.append(model)
+    models = list(dict.fromkeys(model for _, model in cells_by_key))
+    for event_type, line_no in first_line.items():
+        for model in models:
+            if (event_type, model) not in cells_by_key:
+                raise ParseError(f"matrix has no cells for ({event_type}, "
+                                 f"{model})", line_no)
     scores = {}
     for key, cells in cells_by_key.items():
         if len(cells) != repeats * folds:
@@ -270,7 +271,7 @@ def parse_matrix(text: str) -> RunMatrix:
                 f"matrix cell {key} has {len(cells)} of "
                 f"{repeats * folds} values", 1)
         scores[key] = [cells[divmod(i, folds)] for i in range(repeats * folds)]
-    return RunMatrix(repeats, folds, tuple(models), tuple(event_types), scores)
+    return RunMatrix(repeats, folds, tuple(models), tuple(first_line), scores)
 
 
 def fold_sizes(n_docs: int, folds: int) -> list[int]:

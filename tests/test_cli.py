@@ -67,6 +67,14 @@ def matrix_file(workdir, corpus_file):
     return path
 
 
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, so a traceback shows on stderr."""
+    src = str(Path(spantag.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "spantag.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
 class TestSynthCommand:
     def test_output_is_a_parseable_corpus(self, corpus_file):
         docs = corpus.parse_column_file(corpus_file.read_text("utf-8"))
@@ -111,12 +119,7 @@ class TestSynthCommand:
         bad = workdir / "inf_profile.txt"
         bad.write_text("mention_rate = 1.0\nbackground_vocab = inf\n",
                        encoding="utf-8")
-        src = str(Path(spantag.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "spantag.cli", "synth", "--docs", "2",
-             "--profile", str(bad)],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src})
+        proc = run_cli("synth", "--docs", "2", "--profile", str(bad))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "line 2" in proc.stderr and "non-finite" in proc.stderr
@@ -164,6 +167,16 @@ class TestProfileCommand:
         assert "ALPHA.proportion = " in out
         # the report doubles as a generation profile
         assert synth.parse_profile(out)
+
+    @pytest.mark.parametrize("label", ["B-", "B-PROB LEM"])
+    def test_bad_joint_label_type_is_a_data_error(self, workdir, label):
+        path = workdir / "joint.tsv"
+        path.write_text(f"#! columns = surface label:IOB\na\tO\nb\t{label}\n",
+                        encoding="utf-8")
+        proc = run_cli("profile", "--input", str(path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "line 3" in proc.stderr and "joint label" in proc.stderr
 
 
 class TestTrainCommand:
@@ -259,12 +272,7 @@ class TestTagCommand:
         cut = workdir / "cut.model"
         head = model_file.read_text("utf-8").splitlines()[:3]
         cut.write_text("\n".join(head) + "\n", encoding="utf-8")
-        src = str(Path(spantag.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "spantag.cli", "tag", "--model", str(cut),
-             "--input", str(corpus_file)],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src})
+        proc = run_cli("tag", "--model", str(cut), "--input", str(corpus_file))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "line 4" in proc.stderr
@@ -382,6 +390,19 @@ class TestCrossvalAndStats:
                    "--types", "ALPHA", "--jobs", jobs])
         assert rc == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
+
+    def test_stats_rejects_matrix_missing_a_model_block(self, workdir):
+        path = workdir / "holed.tsv"
+        rows = [f"{event}\t{model}\t0\t{fold}\t0.5\t0.6"
+                for event, model in [("A", "X"), ("A", "Y"), ("B", "X")]
+                for fold in (0, 1)]
+        path.write_text("event\tmodel\trepeat\tfold\tstrict_f1\tlenient_f1\n"
+                        + "\n".join(rows) + "\n", encoding="utf-8")
+        proc = run_cli("stats", "--matrix", str(path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "line 6" in proc.stderr and "(B, Y)" in proc.stderr
+        assert proc.stdout == ""
 
     def test_unknown_model_name(self, corpus_file, capsys):
         rc = main(["crossval", "--input", str(corpus_file),

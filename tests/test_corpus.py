@@ -158,6 +158,15 @@ class TestColumnFileParsing:
         with pytest.raises(ParseError, match="line 2"):
             parse_column_file(text)
 
+    @pytest.mark.parametrize("label", ["B-", "B-PROB LEM", "I-A-B"])
+    def test_joint_label_with_bad_type_suffix_is_an_error(self, label):
+        text = ("#! columns = surface label:IOB\n"
+                "a\tO\n"
+                f"b\t{label}\n")
+        with pytest.raises(ParseError, match="valid type suffix") as exc:
+            parse_column_file(text)
+        assert exc.value.line == 3
+
     def test_multiple_documents(self):
         text = ("#! columns = surface\n"
                 "#! doc = d1\na\n\n"

@@ -37,6 +37,12 @@ def _column_file():
     return write_column_file([doc], get_scheme("IOBW"))
 
 
+def _joint_column_file():
+    return ("#! columns = surface pos label:IOB\n#! doc = doc-a\n"
+            "the\tDT\tO\nchest\tNN\tB-PROBLEM\npain\tNN\tI-PROBLEM\n"
+            "\nan\tDT\tO\necg\tNN\tB-TEST\n")
+
+
 def _model_file():
     scheme = get_scheme("IOB")
     alphabet = FeatureAlphabet(scheme.labels, transitions=True)
@@ -72,6 +78,7 @@ _EXPANDER_FILE = ("# boundary expander\nnoun_pos_tags = NN,NNS\n"
 
 FORMATS = {
     "column": (_column_file, parse_column_file),
+    "joint-column": (_joint_column_file, parse_column_file),
     "model": (_model_file, load_model),
     "profile": (_profile_file, synth.parse_profile),
     "run-matrix": (_matrix_file, parse_matrix),

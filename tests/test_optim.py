@@ -9,8 +9,9 @@ import weakref
 import numpy as np
 import pytest
 
+from spantag import optim
 from spantag.errors import NumericError, TrainingError
-from spantag.optim import minimize
+from spantag.optim import IterationLog, minimize
 
 
 def quadratic(center, scale):
@@ -18,6 +19,12 @@ def quadratic(center, scale):
         d = x - center
         return float(0.5 * np.dot(scale * d, d)), lambda: scale * d
     return fun
+
+
+def rosenbrock(x):
+    a, b = x
+    grad = np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
+    return float((1 - a) ** 2 + 100 * (b - a * a) ** 2), lambda: grad
 
 
 class CountingQuadratic:
@@ -59,15 +66,9 @@ class TestConvergence:
         assert log.iterations == len(log.entries)
 
     def test_rosenbrock_small(self):
-        def fun(x):
-            a, b = x
-            value = (1 - a) ** 2 + 100 * (b - a * a) ** 2
-            grad = np.array([-2 * (1 - a) - 400 * a * (b - a * a),
-                             200 * (b - a * a)])
-            return float(value), lambda: grad
         # the halving line search crawls along the curved valley, so this
         # needs more iterations than the smooth convex objectives do
-        x, log = minimize(fun, np.array([-1.2, 1.0]), eta=1e-12,
+        x, log = minimize(rosenbrock, np.array([-1.2, 1.0]), eta=1e-12,
                           max_iterations=2000)
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-3)
         assert log.converged
@@ -165,3 +166,214 @@ class TestFailureModes:
             minimize(fun, np.zeros(2), max_iterations=0)
         with pytest.raises(ValueError):
             minimize(fun, np.zeros(2), memory=0)
+
+
+# --- byte identity against the list-based minimizer --------------------------
+
+def _oracle_two_loop(grad, s_list, y_list, rho_list):
+    q = grad.copy()
+    buf = np.empty_like(q)
+    alphas = []
+    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+        a = rho * float(np.dot(s, q))
+        alphas.append(a)
+        q -= np.multiply(a, y, out=buf)
+    s, y = s_list[-1], y_list[-1]
+    gamma = float(np.dot(s, y)) / float(np.dot(y, y))
+    q *= gamma
+    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+        b = rho * float(np.dot(y, q))
+        q += np.multiply(a - b, s, out=buf)
+    return q
+
+
+def _oracle_line_search(fun, x, f, direction, slope, log, trial):
+    step = 1.0
+    while step >= 1e-20:
+        np.add(x, np.multiply(step, direction, out=trial), out=trial)
+        f_new, gradient = fun(trial)
+        log.evaluations += 1
+        if np.isfinite(f_new) and f_new <= f + 1e-4 * step * slope:
+            return step, f_new, gradient
+        del gradient
+        log.backtracks += 1
+        step *= 0.5
+    return None, None, None
+
+
+def oracle_minimize(fun, x0, *, memory=10, eta=1e-4, max_iterations=500,
+                    rejected_when_full=None):
+    """L-BFGS with its history in three parallel lists, each pair a fresh
+    vector, and two separate restart blocks.  Appends to
+    ``rejected_when_full`` the iteration of each curvature pair it
+    rejects while its history holds ``memory`` pairs."""
+    x = np.asarray(x0, dtype=float).copy()
+    trial = np.empty_like(x)
+    log = IterationLog()
+    f, gradient = fun(x)
+    log.evaluations += 1
+    g = gradient()
+    s_list, y_list, rho_list = [], [], []
+    flat_count = 0
+    for iteration in range(1, max_iterations + 1):
+        if s_list:
+            direction = _oracle_two_loop(g, s_list, y_list, rho_list)
+            np.negative(direction, out=direction)
+        else:
+            direction = -g
+        slope = float(np.dot(g, direction))
+        if slope > 0:
+            s_list.clear()
+            y_list.clear()
+            rho_list.clear()
+            direction = -g
+            slope = -float(np.dot(g, g))
+        step, f_new, gradient = _oracle_line_search(fun, x, f, direction,
+                                                    slope, log, trial)
+        if step is None:
+            if s_list:
+                s_list.clear()
+                y_list.clear()
+                rho_list.clear()
+                direction = -g
+                slope = -float(np.dot(g, g))
+                step, f_new, gradient = _oracle_line_search(
+                    fun, x, f, direction, slope, log, trial)
+            if step is None:
+                log.iterations = iteration
+                raise TrainingError("line search failed", weights=x, log=log)
+        g_new = gradient()
+        s = trial - x
+        y = g_new - g
+        if float(np.dot(s, y)) > 1e-12:
+            s_list.append(s)
+            y_list.append(y)
+            rho_list.append(1.0 / float(np.dot(y, s)))
+            if len(s_list) > memory:
+                s_list.pop(0)
+                y_list.pop(0)
+                rho_list.pop(0)
+        elif len(s_list) == memory and rejected_when_full is not None:
+            rejected_when_full.append(iteration)
+        rel = (f - f_new) / max(abs(f), 1e-12)
+        log.add(iteration, f_new, float(np.linalg.norm(g_new)), step)
+        x, trial, f, g = trial, x, f_new, g_new
+        flat_count = flat_count + 1 if rel < eta else 0
+        if flat_count >= 3:
+            log.converged = True
+            log.iterations = iteration
+            return x, log
+    log.iterations = max_iterations
+    return x, log
+
+
+def wavy(x):
+    """Non-convex: a ripple on a weak bowl, coupled across neighbours."""
+    value = (np.sum(np.sin(3 * x)) + 0.05 * np.dot(x, x)
+             + 0.5 * np.sum(np.cos(x[:-1] * x[1:])))
+
+    def gradient():
+        g = 3 * np.cos(3 * x) + 0.1 * x
+        coupling = -0.5 * np.sin(x[:-1] * x[1:])
+        g[:-1] += coupling * x[1:]
+        g[1:] += coupling * x[:-1]
+        return g
+    return float(value), gradient
+
+
+def assert_same_run(fun, x0, **options):
+    want_x, want_log = oracle_minimize(fun, x0, **options)
+    got_x, got_log = minimize(fun, x0, **options)
+    assert got_x.tobytes() == want_x.tobytes()
+    assert got_log == want_log
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("memory", [1, 2, 10])
+    def test_rosenbrock(self, memory):
+        assert_same_run(rosenbrock, np.array([-1.2, 1.0]), memory=memory,
+                        eta=1e-12, max_iterations=2000)
+
+    def test_non_convex_with_rejected_pairs_in_full_history(self):
+        # from near the ripple's crest a step crosses negative curvature
+        # (s . y < 0) early, so later directions depend on which pairs
+        # the rejection left in place
+        x0 = np.linspace(0.05, 0.3, 6)
+        rejected = []
+        _, log = oracle_minimize(wavy, x0, memory=2, eta=1e-12,
+                                 max_iterations=300,
+                                 rejected_when_full=rejected)
+        assert rejected and rejected[0] < log.iterations - 3
+        assert_same_run(wavy, x0, memory=2, eta=1e-12, max_iterations=300)
+
+
+class TestRestart:
+    """The reset paths, reached through fakes: no smooth objective here
+    makes the two-loop direction go uphill or its line search fail."""
+
+    center = np.array([1.0, -2.0, 3.0])
+    scale = np.array([1.0, 10.0, 0.5])
+
+    def spy_line_search(self, monkeypatch, failing):
+        """Record each line search's (x, direction); the calls numbered in
+        ``failing`` search an objective that is +inf everywhere."""
+        real = optim._line_search
+        calls = []
+
+        def infinite(x):
+            return float("inf"), None
+
+        def fake(fun, x, f, direction, slope, log, trial):
+            calls.append((x.copy(), direction.copy()))
+            if len(calls) in failing:
+                fun = infinite
+            return real(fun, x, f, direction, slope, log, trial)
+        monkeypatch.setattr(optim, "_line_search", fake)
+        return calls
+
+    def steepest(self, x):
+        return -(self.scale * (x - self.center))
+
+    def test_uphill_direction_is_replaced_by_steepest_descent(
+            self, monkeypatch):
+        real = optim._two_loop
+        histories = []
+
+        def uphill_once(grad, S, Y, rho, order):
+            histories.append(len(order))
+            # minimize negates this, giving +grad: uphill
+            return -grad if len(histories) == 1 else real(grad, S, Y, rho,
+                                                          order)
+        monkeypatch.setattr(optim, "_two_loop", uphill_once)
+        calls = self.spy_line_search(monkeypatch, failing=())
+        x, log = minimize(quadratic(self.center, self.scale), np.zeros(3))
+        # the uphill direction at iteration 2 is never searched: the
+        # history is cleared and the same iteration searches along -g
+        assert histories[:2] == [1, 1]
+        assert len(calls) == log.iterations
+        x2, direction = calls[1]
+        np.testing.assert_array_equal(direction, self.steepest(x2))
+        np.testing.assert_allclose(x, self.center, atol=1e-4)
+        assert log.converged
+
+    def test_failed_line_search_restarts_once_along_steepest_descent(
+            self, monkeypatch):
+        calls = self.spy_line_search(monkeypatch, failing={2})
+        x, log = minimize(quadratic(self.center, self.scale), np.zeros(3))
+        # exactly one extra search, from the same point along -g
+        assert len(calls) == log.iterations + 1
+        (x_fail, lbfgs_dir), (x_retry, retry_dir) = calls[1], calls[2]
+        np.testing.assert_array_equal(x_retry, x_fail)
+        np.testing.assert_array_equal(retry_dir, self.steepest(x_fail))
+        assert not np.array_equal(lbfgs_dir, retry_dir)
+        np.testing.assert_allclose(x, self.center, atol=1e-4)
+        assert log.converged and log.iterations > 2
+
+    def test_failure_after_restart_raises(self, monkeypatch):
+        calls = self.spy_line_search(monkeypatch, failing={2, 3})
+        with pytest.raises(TrainingError, match="iteration 2") as exc:
+            minimize(quadratic(self.center, self.scale), np.zeros(3))
+        assert len(calls) == 3
+        assert exc.value.log.iterations == 2
+        assert len(exc.value.log.entries) == 1
+        np.testing.assert_array_equal(exc.value.weights, calls[2][0])

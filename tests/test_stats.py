@@ -251,6 +251,16 @@ class TestRunMatrix:
             parse_matrix("\n".join(lines) + "\n")
         assert exc.value.line == 5
 
+    def test_parse_rejects_missing_event_model_pair(self):
+        lines = ["event\tmodel\trepeat\tfold\tstrict_f1\tlenient_f1"]
+        for event, model in [("A", "X"), ("A", "Y"), ("B", "X")]:
+            for fold in (0, 1):
+                lines.append(f"{event}\t{model}\t0\t{fold}\t0.5\t0.6")
+        with pytest.raises(ParseError) as exc:
+            parse_matrix("\n".join(lines) + "\n")
+        assert exc.value.line == 6  # the first row of event B
+        assert "(B, Y)" in str(exc.value)
+
     def test_parse_rejects_incomplete_cells(self):
         lines = small_matrix().tsv().splitlines()
         with pytest.raises(ParseError) as exc:
