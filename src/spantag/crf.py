@@ -15,28 +15,30 @@ call runs the forward pass for f(w) and returns a function that runs
 the backward pass for the gradient, so a rejected line-search trial
 costs one forward pass.
 
-Each layout decision has one home.  ``_encode`` expands sentences once
-into a fixed-width (positions, rules) feature-id matrix, for training
-(first-occurrence interning) and for tagging (-1 for an unseen feature).
-``FeatureAlphabet.split`` reads the flat weight vector.  ``TimeMajor``
-orders a batch longest first and stores it one time step after another,
-so each step of forward-backward or Viterbi is a contiguous block of
-rows; ``BatchedObjective`` runs on a whole training corpus and
-``CrfModel.tag`` on one document.  The per-sentence ``Lattice``,
-``forward_backward``, ``viterbi``, ``instance_lattice`` and
+Each layout decision has one home.  ``_expand`` streams a batch's
+feature strings once, and mapping them to ids gives a fixed-width
+(positions, rules) id matrix: ``FeatureAlphabet.intern``, the one
+interning rule, numbers them by first occurrence in C, and tagging gives
+an unseen one -1.  ``FeatureAlphabet.split`` reads the flat weight
+vector.  ``TimeMajor`` is the one row order: longest sentence first, one
+time step after another, so each step of forward-backward or Viterbi is
+a contiguous block of rows; ``BatchedObjective`` runs on a whole
+training corpus and ``CrfModel.tag`` on one document.  The per-sentence
+``Lattice``, ``forward_backward``, ``viterbi``, ``instance_lattice`` and
 ``objective_and_gradient`` are the reference implementations that the
 tests compare the batched paths against.
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat, zip_longest
+from itertools import chain, count, repeat, zip_longest
 
 import numpy as np
 
 from . import optim
-from .corpus import Document, encode_document
+from .corpus import _TYPE_RE, Document, encode_document
 from .errors import ConfigError, NumericError, ParseError
 from .features import FeatureTemplate, expand_sentence, feature_table, parse_template
 from .schemes import Scheme, get_scheme
@@ -159,8 +161,8 @@ def sequence_score(lat: Lattice, labels: list[int]) -> float:
 # --- feature alphabet ----------------------------------------------------
 
 class FeatureAlphabet:
-    """Feature strings numbered by first occurrence, and the flat weight
-    layout over them.
+    """Feature strings numbered 0..n-1 by first occurrence (``intern``
+    hands out every id), and the flat weight layout over them.
 
     A weight vector holds one row of n_labels node weights per feature,
     in id order, followed by the (n_labels, n_labels) transition weights
@@ -169,10 +171,21 @@ class FeatureAlphabet:
     names its entries in order.
     """
 
-    def __init__(self, labels: tuple[str, ...], transitions: bool):
+    def __init__(self, labels: tuple[str, ...], transitions: bool,
+                 feat_index: dict[str, int]):
         self.labels = labels
         self.transitions = transitions
-        self.feat_index: dict[str, int] = {}
+        self.feat_index = feat_index
+
+    @classmethod
+    def intern(cls, labels: tuple[str, ...], transitions: bool, strings):
+        """(alphabet, id array) of a stream of feature strings: a string
+        gets the next id at its first occurrence, in C.  Once the stream
+        ends, ``feat_index`` no longer grows on lookup."""
+        index = defaultdict(count().__next__)
+        ids = np.fromiter(map(index.__getitem__, strings), dtype=np.intp)
+        index.default_factory = None
+        return cls(labels, transitions, index), ids
 
     @property
     def n_labels(self) -> int:
@@ -186,9 +199,6 @@ class FeatureAlphabet:
     def dim(self) -> int:
         L = self.n_labels
         return self.n_features * L + (L * L if self.transitions else 0)
-
-    def add(self, feature: str) -> int:
-        return self.feat_index.setdefault(feature, len(self.feat_index))
 
     def feature_strings(self) -> list[str]:
         return list(self.feat_index)  # ids follow insertion order
@@ -230,21 +240,13 @@ class EncodedCorpus:
         return self.alphabet.n_features
 
 
-def _encode(template: FeatureTemplate, sentences, to_ids):
-    """Expand each sentence once into a (positions, rules) id matrix, one
-    row per token of the sentences in order, and return it with the
-    sentences' token counts.  ``to_ids(strings)`` gives the ids of one
-    position's feature strings; taking a whole position lets tagging map
-    ``dict.get`` with a default in C, with no Python call per string."""
-    ids: list[int] = []
-    for sentence in sentences:
-        if sentence.tokens:
-            for feats in expand_sentence(template, feature_table(sentence)):
-                ids.extend(to_ids(feats))
-    lengths = np.array([len(s.tokens) for s in sentences], dtype=np.intp)
-    return (np.array(ids, dtype=np.intp).reshape(lengths.sum(),
-                                                 len(template.rules)),
-            lengths)
+def _expand(template: FeatureTemplate, sentences):
+    """Every feature string of ``sentences`` as one stream, position by
+    position and one per template rule (an empty sentence has none), and
+    every sentence's token count."""
+    strings = chain.from_iterable(chain.from_iterable(
+        expand_sentence(template, feature_table(s)) for s in sentences))
+    return strings, np.array([len(s.tokens) for s in sentences], dtype=np.intp)
 
 
 def build_alphabet(docs: list[Document], template: FeatureTemplate,
@@ -253,10 +255,12 @@ def build_alphabet(docs: list[Document], template: FeatureTemplate,
     first-occurrence order."""
     if not any(doc.sentences for doc in docs):
         raise ConfigError("cannot build an alphabet from an empty corpus")
-    alphabet = FeatureAlphabet(scheme.labels, template.transitions)
-    sentences = [s for doc in docs for s in doc.sentences if s.tokens]
-    return EncodedCorpus(alphabet, *_encode(template, sentences,
-                                            partial(map, alphabet.add)))
+    strings, lengths = _expand(template, [s for doc in docs
+                                          for s in doc.sentences if s.tokens])
+    alphabet, ids = FeatureAlphabet.intern(scheme.labels, template.transitions,
+                                           strings)
+    return EncodedCorpus(alphabet, ids.reshape(lengths.sum(),
+                                               len(template.rules)), lengths)
 
 
 # --- gold labels, and sentences for the reference objective ---------------
@@ -447,14 +451,12 @@ class BatchedObjective:
     """Vectorized objective over all sentences at once.
 
     Takes the fixed-width id matrix of ``build_alphabet`` and the gold
-    ids of ``make_instances``.  Forward, backward and the transition
-    expectations run on the ``TimeMajor`` layout of the corpus, where each
-    time step is one contiguous block of rows.  The node scores are
-    gathered and the node gradient accumulated in length-sorted position
-    order (the layout's rows sentence by sentence, step by step), which
-    fixes their summation order; ``ids`` is the id matrix in that order.
-    Empirical counts do not depend on the weights and are folded into one
-    constant vector, so f(w) = sum logZ_s - w . emp + ||w||^2/(2C).
+    ids of ``make_instances``, and keeps the id matrix in the row order of
+    the corpus's ``TimeMajor`` layout, where each time step is one
+    contiguous block of rows.  Node scores, forward, backward, the
+    transition expectations and the node gradient all run in that one
+    order.  Empirical counts do not depend on the weights and are folded
+    into one constant vector, so f(w) = sum logZ_s - w . emp + ||w||^2/(2C).
 
     Forward-backward runs in probability space with per-step scaling
     (Rabiner 1989): the node scores and the transitions are exponentiated
@@ -474,14 +476,11 @@ class BatchedObjective:
     """
 
     def __init__(self, encoded: EncodedCorpus, gold: np.ndarray, C: float):
-        alphabet = encoded.alphabet
-        self.alphabet = alphabet
+        alphabet = self.alphabet = encoded.alphabet
         self.C = C
         self.n_rules = encoded.ids.shape[1]
         tm = self.tm = TimeMajor(encoded.lengths)
-        # the layout's rows in length-sorted position order
-        self.by_sentence = np.argsort(tm.sentence, kind="stable")
-        self.ids = encoded.ids[tm.rows[self.by_sentence]]
+        self.ids = encoded.ids[tm.rows]
         # the previous-step row of each row past step 0
         self.prev = (np.arange(len(tm.last), tm.off[-1])
                      - np.repeat(tm.active[:-1], tm.active[1:]))
@@ -500,10 +499,8 @@ class BatchedObjective:
     def __call__(self, weights: np.ndarray):
         """(f(w), gradient function): the value from the node scores and
         the forward pass alone; calling the function runs the rest."""
-        a = self.alphabet
-        w_node, w_trans = a.split(weights)
-        node = np.empty((len(self.ids), a.n_labels))
-        node[self.by_sentence] = _node_scores(w_node, self.ids)
+        w_node, w_trans = self.alphabet.split(weights)
+        node = _node_scores(w_node, self.ids)
         if w_trans is not None and np.ptp(w_trans) > _SCALED_RANGE:
             log_z, backward = self._log_space(node, w_trans)
         else:
@@ -521,14 +518,13 @@ class BatchedObjective:
         function that a call returned gives one gradient: call it once."""
         a = self.alphabet
         marg, trans_expect = backward()
-        marg_t = marg[self.by_sentence].T
 
         grad = np.zeros_like(weights)
         g_node, g_trans = a.split(grad)
         fids = self.ids.ravel()
         for y in range(a.n_labels):
             g_node[:, y] = np.bincount(
-                fids, weights=np.repeat(marg_t[y], self.n_rules),
+                fids, weights=np.repeat(marg[:, y], self.n_rules),
                 minlength=a.n_features)
         if g_trans is not None:
             g_trans += trans_expect
@@ -648,18 +644,16 @@ class CrfModel:
 
     def _decode(self, sentences) -> list[list[str]]:
         # a feature unseen in training gets id -1 and scores zero
-        get, unseen = self.alphabet.feat_index.get, repeat(-1)
-        ids, lengths = _encode(self.template, sentences,
-                               lambda feats: map(get, feats, unseen))
+        strings, lengths = _expand(self.template, sentences)
+        get = self.alphabet.feat_index.get
+        ids = np.fromiter(map(get, strings, repeat(-1)), np.intp).reshape(
+            lengths.sum(), len(self.template.rules))
         w_node, w_trans = self.alphabet.split(self.weights)
         path = batch_viterbi(_node_scores(w_node, ids, unseen=True), lengths,
                              w_trans)
         labels = np.array(self.alphabet.labels, dtype=object)[path].tolist()
         ends = np.cumsum(lengths).tolist()
         return [labels[end - n:end] for n, end in zip(lengths.tolist(), ends)]
-
-    def tag_sentence(self, sentence) -> list[str]:
-        return self._decode([sentence])[0]
 
     def tag(self, doc: Document) -> list[list[str]]:
         """Label rows of every sentence, decoded as one batch."""
@@ -669,6 +663,8 @@ class CrfModel:
 def train(docs: list[Document], template: FeatureTemplate, scheme: Scheme,
           event_type: str, config: TrainerConfig = TrainerConfig()) -> CrfModel:
     """Fit a per-event-type model by regularized maximum likelihood."""
+    if not _TYPE_RE.match(event_type):
+        raise ConfigError(f"bad event type {event_type!r}")
     encoded = build_alphabet(docs, template, scheme)
     gold = make_instances(docs, scheme, event_type)
     if not gold.size:
@@ -730,6 +726,8 @@ def load_model(text: str) -> CrfModel:
     except ValueError as exc:
         raise ParseError(str(exc), 2) from None
     event_type = header(3, "event_type")
+    if not _TYPE_RE.match(event_type):
+        raise ParseError(f"bad event type {event_type!r}", 3)
     flag = header(4, "transitions")
     if flag not in ("true", "false"):
         raise ParseError(f"transitions must be true or false, not {flag!r}", 4)
@@ -756,9 +754,9 @@ def load_model(text: str) -> CrfModel:
     if len(rows) != expected:
         raise ParseError(f"expected {expected} weight rows, got {len(rows)}",
                          len(lines))
-    alphabet = FeatureAlphabet(labels, transitions)
-    for raw in rows[:n_features * L:L]:  # each feature's first row names it
-        alphabet.add(raw.partition("\t")[2].partition("\t")[0])
+    names = (raw.partition("\t")[2].partition("\t")[0]  # a feature's first row
+             for raw in rows[:n_features * L:L])
+    alphabet, _ = FeatureAlphabet.intern(labels, transitions, names)
     weights = np.zeros(expected)
     layout = zip_longest(rows, alphabet.cells())  # None past a short layout
     for pos, (raw, cell) in enumerate(layout):

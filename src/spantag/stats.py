@@ -55,28 +55,19 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < _BETA_EPS:  # the odd step's factor
             return h
     raise NumericError(
         f"incomplete beta continued fraction did not converge "
@@ -231,6 +222,7 @@ def parse_matrix(text: str) -> RunMatrix:
                          lines[0][0] if lines else 1)
     cells_by_key: dict[tuple[str, str], dict[tuple[int, int], tuple[float, float]]] = {}
     first_line: dict[str, int] = {}  # event type -> line of its first row
+    block_line: dict[tuple[str, str], int] = {}  # (event, model) -> the same
     max_repeat = max_fold = 0
     for line_no, raw in lines[1:]:
         parts = raw.split("\t")
@@ -250,6 +242,7 @@ def parse_matrix(text: str) -> RunMatrix:
                 f"repeat and fold must be non-negative, got {repeat}, {fold}",
                 line_no)
         first_line.setdefault(event_type, line_no)
+        block_line.setdefault((event_type, model), line_no)
         cells = cells_by_key.setdefault((event_type, model), {})
         if (repeat, fold) in cells:
             raise ParseError(f"duplicate cell ({event_type}, {model}, "
@@ -269,7 +262,7 @@ def parse_matrix(text: str) -> RunMatrix:
         if len(cells) != repeats * folds:
             raise ParseError(
                 f"matrix cell {key} has {len(cells)} of "
-                f"{repeats * folds} values", 1)
+                f"{repeats * folds} values", block_line[key])
         scores[key] = [cells[divmod(i, folds)] for i in range(repeats * folds)]
     return RunMatrix(repeats, folds, tuple(models), tuple(first_line), scores)
 

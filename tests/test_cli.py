@@ -224,6 +224,17 @@ class TestTrainCommand:
         assert rc == 1
         assert "line 2: column index 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("event_type", ["NOPE X", ""])
+    def test_bad_event_type_is_a_config_error(self, workdir, corpus_file,
+                                              event_type):
+        path = workdir / "bad_type.model"
+        proc = run_cli("train", "--input", str(corpus_file), "--model",
+                       str(path), "--type", event_type, "--max-iter", "5")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "bad event type" in proc.stderr
+        assert not path.exists()
+
     def test_unknown_scheme_rejected_by_parser(self, corpus_file):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--input", str(corpus_file), "--model", "x",
@@ -276,6 +287,17 @@ class TestTagCommand:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "line 4" in proc.stderr
+
+    def test_model_with_bad_event_type_is_a_data_error(self, workdir,
+                                                       corpus_file,
+                                                       model_file):
+        bad = workdir / "bad_type.model"
+        bad.write_text(model_file.read_text("utf-8").replace(
+            "event_type = ALPHA", "event_type = NOPE X", 1), encoding="utf-8")
+        proc = run_cli("tag", "--model", str(bad), "--input", str(corpus_file))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "line 3: bad event type" in proc.stderr
 
     def test_missing_model_file(self, workdir, corpus_file, capsys):
         rc = main(["tag", "--model", str(workdir / "void.model"),

@@ -150,10 +150,9 @@ class TestViterbiTieBreaking:
 # --- objective and gradient -------------------------------------------------
 
 def toy_alphabet(n_features, n_labels, transitions):
-    alphabet = FeatureAlphabet(tuple(f"L{i}" for i in range(n_labels)),
-                               transitions)
-    for f in range(n_features):
-        alphabet.add(f"f{f}")
+    alphabet, _ = FeatureAlphabet.intern(
+        tuple(f"L{i}" for i in range(n_labels)), transitions,
+        (f"f{f}" for f in range(n_features)))
     return alphabet
 
 
@@ -394,6 +393,29 @@ class TestInstances:
         _, first = np.unique(flat, return_index=True)
         assert flat[np.sort(first)].tolist() == list(range(len(strings)))
 
+    def test_interning_and_lookup(self, trained):
+        alphabet, ids = FeatureAlphabet.intern(("O", "I"), False,
+                                               ["b", "a", "b", "c", "a", "b"])
+        # a repeat keeps its first id; ids run 0..n-1 by first occurrence
+        assert ids.tolist() == [0, 1, 0, 2, 1, 0]
+        assert alphabet.feat_index == {"b": 0, "a": 1, "c": 2}
+        assert alphabet.feature_strings() == ["b", "a", "c"]
+        assert alphabet.dim == 6
+        # looking up an unseen string, or tagging one, never grows a
+        # trained or loaded alphabet
+        _, model = trained
+        clone = load_model(save_model(model))
+        doc = Document("u", [build_sentence(("zygoma", "NN", "B-NP"))], [])
+        for m in (model, clone):
+            a = m.alphabet
+            size = (a.n_features, a.dim)
+            assert a.feat_index.get("U00=zygoma") is None
+            with pytest.raises(KeyError):
+                a.feat_index["U00=zygoma"]
+            m.tag(doc)
+            assert "U00=zygoma" not in a.feat_index
+            assert (a.n_features, a.dim) == size
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
             build_alphabet([build_doc("d0", [])], default_template(),
@@ -459,13 +481,13 @@ class TestTraining:
         sentence = build_sentence(("the", "DT", "B-NP"),
                                   ("zygoma", "NN", "I-NP"),
                                   ("hurts", "VB", "O"))
-        labels = model.tag_sentence(sentence)
+        [labels] = model.tag(Document("d", [sentence], []))
         assert len(labels) == 3
         assert set(labels) <= set(get_scheme("IOB").labels)
 
     def test_tagging_empty_sentence(self, trained):
         _, model = trained
-        assert model.tag_sentence(Sentence([])) == []
+        assert model.tag(Document("d", [Sentence([])], [])) == [[]]
 
     def test_no_trainable_sentences_rejected(self):
         docs = [build_doc("d0", [Sentence([])])]
@@ -480,6 +502,14 @@ class TestTraining:
     def test_config_validation(self, kwargs):
         with pytest.raises(ConfigError):
             TrainerConfig(**kwargs)
+
+    @pytest.mark.parametrize("event_type", ["NOPE X", "", "B-PROBLEM"])
+    def test_bad_event_type_rejected(self, event_type):
+        # a span of this type could not exist, and a model of it would
+        # tag into a column file that cannot be read back
+        with pytest.raises(ConfigError, match="bad event type"):
+            train(separable_docs(1), default_template(), get_scheme("IOB"),
+                  event_type, TrainerConfig(max_iterations=5))
 
 
 # --- serialization ------------------------------------------------------------
@@ -513,9 +543,8 @@ class TestModelFile:
     def test_untrained_weights_round_trip_verbatim(self):
         # exercises repr-level float fidelity on awkward values
         scheme = get_scheme("IO")
-        alphabet = FeatureAlphabet(scheme.labels, transitions=True)
-        alphabet.add("U00=alpha")
-        alphabet.add("U00=beta")
+        alphabet, _ = FeatureAlphabet.intern(scheme.labels, True,
+                                             ["U00=alpha", "U00=beta"])
         weights = np.array([0.1, -1e-17, 3.141592653589793, 2**-40,
                             1e300, -7.0, 0.3333333333333333, 42.0])
         model = CrfModel(alphabet, weights, scheme,
@@ -531,9 +560,8 @@ class TestModelFile:
     def test_save_load_save_is_byte_identical(self, data, scheme_name,
                                               transitions, features):
         scheme = get_scheme(scheme_name)
-        alphabet = FeatureAlphabet(scheme.labels, transitions)
-        for feature in features:
-            alphabet.add(feature)
+        alphabet, _ = FeatureAlphabet.intern(scheme.labels, transitions,
+                                             features)
         # the awkward values first, then arbitrary finite doubles, shuffled
         drawn = data.draw(st.lists(
             st.floats(allow_nan=False, allow_infinity=False),
@@ -611,8 +639,8 @@ class TestModelFile:
         # without a "B" template line, "yes" would not disagree with the
         # template; the flag itself must be rejected
         scheme = get_scheme("IO")
-        alphabet = FeatureAlphabet(scheme.labels, transitions=False)
-        alphabet.add("U00=alpha")
+        alphabet, _ = FeatureAlphabet.intern(scheme.labels, False,
+                                             ["U00=alpha"])
         model = CrfModel(alphabet, np.zeros(alphabet.dim), scheme,
                          parse_template("U00:%x[0,1]\n"), "TEST")
         text = save_model(model).replace("transitions = false",
@@ -621,6 +649,16 @@ class TestModelFile:
             load_model(text)
         assert exc.value.line == 4
         assert "true or false" in str(exc.value)
+
+    @pytest.mark.parametrize("event_type", ["NOPE X", ""])
+    def test_rejects_bad_event_type(self, trained, event_type):
+        _, model = trained
+        text = save_model(model).replace("event_type = PROBLEM",
+                                         f"event_type = {event_type}", 1)
+        with pytest.raises(ParseError) as exc:
+            load_model(text)
+        assert exc.value.line == 3
+        assert "bad event type" in str(exc.value)
 
     def test_rejects_unknown_scheme(self, trained):
         _, model = trained
@@ -658,9 +696,8 @@ class TestModelFile:
     def test_rejects_repeated_feature(self, transitions):
         # the last feature's rows renamed to the first feature
         scheme = get_scheme("IO")
-        alphabet = FeatureAlphabet(scheme.labels, transitions)
-        for feature in ("U00=alpha", "U00=beta", "U00=gamma"):
-            alphabet.add(feature)
+        alphabet, _ = FeatureAlphabet.intern(
+            scheme.labels, transitions, ["U00=alpha", "U00=beta", "U00=gamma"])
         template = "U00:%x[0,1]\n" + ("B\n" if transitions else "")
         model = CrfModel(alphabet, np.zeros(alphabet.dim), scheme,
                          parse_template(template), "TEST")
@@ -781,7 +818,7 @@ class TestModelTagging:
         # a model file may list no features: every position scores zero
         # and only the transitions decide
         scheme = get_scheme("IOB")
-        alphabet = FeatureAlphabet(scheme.labels, transitions=True)
+        alphabet, _ = FeatureAlphabet.intern(scheme.labels, True, [])
         weights = np.array([0.0, -1.0, 2.0, 0.5, 0.0, -3.0, 1.0, 0.0, 0.0])
         model = CrfModel(alphabet, weights, scheme,
                          parse_template("U00:%x[0,1]\nB\n"), "TEST")
@@ -802,9 +839,10 @@ def test_golden_digests():
     The tagged-file digest was computed before the batched decoder and
     the time-major objective replaced the per-sentence paths, so it pins
     the output bytes across such rewrites.  The model-file digest was
-    re-pinned when the objective moved to scaled forward-backward: the
-    summation order changed, and with it the last bits of the weights,
-    but not one tag.  Both hold for one numpy build: a different exp/log
+    re-pinned when the objective moved to scaled forward-backward, and
+    again when the node gradient moved to the time-major row order: each
+    time the summation order changed, and with it the last bits of the
+    weights, but not one tag.  Both hold for one numpy build: a different exp/log
     implementation may change the last bits of the weights, and the
     digests must then be recomputed on the parent commit.
     """
@@ -819,7 +857,7 @@ def test_golden_digests():
               for d in docs[20:]]
     out = write_column_file(tagged, clone.scheme, ["PROBLEM"])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5019dbe2e0eccf0b5b71b29c29a4ddb38f26e4c849ecf37e31923c75a605532d")
+        "8ebe8a87a6010a4935f5e3eedb949998a0ce5503fd10657faa2bda5a58d38c40")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a906f8cd2728672c0280059309ed303829e2d149fcbb43036f822dbe5d584a8f")
 
@@ -827,11 +865,12 @@ def test_golden_digests():
 def test_golden_digest_without_transitions():
     """The model-file bytes of a transitions-off training, which takes the
     forward pass's no-transitions branch (each alpha row is its node row
-    normalized, with no step loop).  Computed before the objective's
-    gradient became lazy; the same numpy caveat as above applies."""
+    normalized, with no step loop).  Re-pinned when the node gradient
+    moved to the time-major row order; the same numpy caveat as above
+    applies."""
     docs = synth.generate(synth.default_profile(), 2024, 30)
     model = train(docs[:20], default_template(transitions=False),
                   get_scheme("IOBW"), "PROBLEM", TrainerConfig(max_iterations=15))
     assert not model.alphabet.transitions
     assert hashlib.sha256(save_model(model).encode()).hexdigest() == (
-        "081f349f6743594c3a2c1c216d99d3c22305d5e6eca54563e358265d00e4b0f6")
+        "6c15376a65426d7b0bcb6098aa53552243166d9edcaffefde919a5329df6fc71")

@@ -45,9 +45,8 @@ def _joint_column_file():
 
 def _model_file():
     scheme = get_scheme("IOB")
-    alphabet = FeatureAlphabet(scheme.labels, transitions=True)
-    alphabet.add("U00=pain")
-    alphabet.add("U00=ecg")
+    alphabet, _ = FeatureAlphabet.intern(scheme.labels, True,
+                                         ["U00=pain", "U00=ecg"])
     weights = np.linspace(-1.5, 2.0, alphabet.dim)
     return save_model(CrfModel(alphabet, weights, scheme,
                                parse_template("U00:%x[0,1]\nB\n"), "PROBLEM"))

@@ -266,6 +266,7 @@ class TestRunMatrix:
         with pytest.raises(ParseError) as exc:
             parse_matrix("\n".join(lines[:-1]) + "\n")
         assert "has 5 of 6 values" in str(exc.value)
+        assert exc.value.line == 8  # the first row of the (PROBLEM, IOB) block
 
 
 class TestFolds:
