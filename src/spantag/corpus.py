@@ -94,10 +94,9 @@ class Document:
             if span.end > len(self.sentences[span.sentence_index]):
                 raise ValueError(f"span {span} beyond its sentence")
 
-    def spans_of(self, event_type: str, sentence_index: int | None = None):
-        return [s for s in self.gold_spans
-                if s.event_type == event_type
-                and (sentence_index is None or s.sentence_index == sentence_index)]
+    def spans_of(self, event_type: str) -> list[Span]:
+        """This document's spans of one event type, in sorted order."""
+        return [s for s in self.gold_spans if s.event_type == event_type]
 
     def event_types(self) -> list[str]:
         return sorted({s.event_type for s in self.gold_spans})
@@ -121,12 +120,16 @@ def document_from_text(doc_id: str, text: str, keep_hyphens: bool = False) -> Do
 
 
 def encode_document(doc: Document, scheme: Scheme, event_type: str) -> list[list[str]]:
-    """Per-sentence label sequences for one event type."""
-    out = []
-    for idx, sentence in enumerate(doc.sentences):
-        pairs = [(s.start, s.end) for s in doc.spans_of(event_type, idx)]
-        out.append(scheme.encode(pairs, len(sentence)))
-    return out
+    """Per-sentence label sequences for one event type.
+
+    The only span-to-label encoder: one pass groups the document's spans
+    of the type by sentence, then each sentence is encoded in turn.
+    """
+    pairs: list[list[tuple[int, int]]] = [[] for _ in doc.sentences]
+    for s in doc.spans_of(event_type):
+        pairs[s.sentence_index].append((s.start, s.end))
+    return [scheme.encode(p, len(sentence))
+            for p, sentence in zip(pairs, doc.sentences)]
 
 
 def decode_document(label_rows: list[list[str]], scheme: Scheme,
@@ -196,21 +199,56 @@ def _parse_columns_decl(value: str, line_no: int) -> _ColumnSpec:
 _DIRECTIVE_RE = re.compile(r"^#!\s*(\w+)\s*=\s*(.*?)\s*$")
 
 
-class _DocBuilder:
-    def __init__(self, doc_id: str):
-        self.id = doc_id
-        self.sentences: list[Sentence] = []
-        self.spans: list[Span] = []
-
-    def finish(self) -> Document:
-        return Document(self.id, self.sentences, self.spans)
-
-
 def _project_joint(label: str, event_type: str) -> str:
     if label == "O":
         return "O"
     prefix, _, suffix = label.partition("-")
     return prefix if suffix == event_type else "O"
+
+
+def _flush_sentence(spec: _ColumnSpec, rows: list[tuple[int, list[str]]],
+                    sentences: list[Sentence], spans: list[Span]) -> None:
+    """Append the buffered body rows, (line number, cells) pairs, to the
+    open document's lists as one sentence and the spans its label columns
+    carry; then empty the buffer."""
+    if not rows:
+        return
+    tokens = []
+    offset = 0
+    for line_no, cells in rows:
+        surface = cells[spec.surface]
+        if not surface:
+            raise ParseError("empty surface cell", line_no)
+        stem = cells[spec.stem] if spec.stem is not None else porter_stem(surface)
+        pos = cells[spec.pos] if spec.pos is not None else PLACEHOLDER
+        chunk = cells[spec.chunk] if spec.chunk is not None else PLACEHOLDER
+        try:
+            tokens.append(Token(surface, offset, offset + len(surface),
+                                stem or PLACEHOLDER, pos or PLACEHOLDER,
+                                chunk or PLACEHOLDER))
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
+        offset += len(surface) + 1
+    sent_index = len(sentences)
+    sentences.append(Sentence(tokens))
+    first_line = rows[0][0]
+    for lc in spec.labels:
+        column = [cells[lc.index] for _, cells in rows]
+        if lc.event_type is not None:
+            _decode_label_column(column, lc.scheme, lc.event_type,
+                                 sent_index, first_line, spans)
+            continue
+        for i, lab in enumerate(column):
+            if lab != "O" and not _TYPE_RE.match(lab.partition("-")[2]):
+                raise ParseError(
+                    f"joint label {lab!r} lacks a valid type suffix",
+                    first_line + i)
+        types = sorted({lab.partition("-")[2] for lab in column if lab != "O"})
+        for event_type in types:
+            projected = [_project_joint(lab, event_type) for lab in column]
+            _decode_label_column(projected, lc.scheme, event_type,
+                                 sent_index, first_line, spans)
+    rows.clear()
 
 
 def parse_column_file(text: str) -> list[Document]:
@@ -220,63 +258,11 @@ def parse_column_file(text: str) -> list[Document]:
     document with id "doc0".  Document ids must be unique.
     """
     spec: _ColumnSpec | None = None
-    docs: list[Document] = []
+    opened: list[tuple[str, list[Sentence], list[Span]]] = []
+    sentences: list[Sentence] = []
+    spans: list[Span] = []
     doc_ids: set[str] = set()
-    builder: _DocBuilder | None = None
     rows: list[tuple[int, list[str]]] = []
-
-    def flush_sentence():
-        nonlocal rows
-        if not rows:
-            return
-        if builder is None:
-            raise AssertionError("rows without document")
-        tokens = []
-        offset = 0
-        for line_no, cells in rows:
-            surface = cells[spec.surface]
-            if not surface:
-                raise ParseError("empty surface cell", line_no)
-            stem = cells[spec.stem] if spec.stem is not None else porter_stem(surface)
-            pos = cells[spec.pos] if spec.pos is not None else PLACEHOLDER
-            chunk = cells[spec.chunk] if spec.chunk is not None else PLACEHOLDER
-            try:
-                tokens.append(Token(surface, offset, offset + len(surface),
-                                    stem or PLACEHOLDER, pos or PLACEHOLDER,
-                                    chunk or PLACEHOLDER))
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from None
-            offset += len(surface) + 1
-        sent_index = len(builder.sentences)
-        builder.sentences.append(Sentence(tokens))
-        first_line = rows[0][0]
-        for lc in spec.labels:
-            column = [cells[lc.index] for _, cells in rows]
-            if lc.event_type is not None:
-                _decode_label_column(column, lc.scheme, lc.event_type,
-                                     sent_index, first_line, builder.spans)
-            else:
-                for i, lab in enumerate(column):
-                    if lab != "O" and not _TYPE_RE.match(lab.partition("-")[2]):
-                        raise ParseError(
-                            f"joint label {lab!r} lacks a valid type suffix",
-                            first_line + i)
-                types = sorted({lab.partition("-")[2] for lab in column
-                                if lab != "O"})
-                for event_type in types:
-                    projected = [_project_joint(lab, event_type)
-                                 for lab in column]
-                    _decode_label_column(projected, lc.scheme, event_type,
-                                         sent_index, first_line, builder.spans)
-        rows = []
-
-    def flush_doc():
-        nonlocal builder
-        flush_sentence()
-        if builder is not None:
-            docs.append(builder.finish())
-            builder = None
-
     for line_no, raw in enumerate(text.splitlines(), 1):
         if raw.startswith("#!"):
             m = _DIRECTIVE_RE.match(raw)
@@ -293,13 +279,14 @@ def parse_column_file(text: str) -> list[Document]:
                 if value in doc_ids:
                     raise ParseError(f"duplicate document id {value!r}",
                                      line_no)
-                flush_doc()
-                builder = _DocBuilder(value)
+                _flush_sentence(spec, rows, sentences, spans)
+                sentences, spans = [], []
+                opened.append((value, sentences, spans))
                 doc_ids.add(value)
             else:
                 raise ParseError(f"unknown directive {key!r}", line_no)
         elif not raw.strip():
-            flush_sentence()
+            _flush_sentence(spec, rows, sentences, spans)
         else:
             if spec is None:
                 raise ParseError("token line before columns directive", line_no)
@@ -308,12 +295,13 @@ def parse_column_file(text: str) -> list[Document]:
                 raise ParseError(
                     f"expected {len(spec.names)} columns, got {len(cells)}",
                     line_no)
-            if builder is None:
-                builder = _DocBuilder("doc0")
+            if not opened:
+                opened.append(("doc0", sentences, spans))
                 doc_ids.add("doc0")
             rows.append((line_no, cells))
-    flush_doc()
-    return docs
+    _flush_sentence(spec, rows, sentences, spans)
+    return [Document(doc_id, sentences, spans)
+            for doc_id, sentences, spans in opened]
 
 
 def _decode_label_column(column, scheme, event_type, sent_index, first_line, out):
@@ -353,15 +341,11 @@ def write_column_file(docs: list[Document], scheme: Scheme,
     lines = [header]
     for doc in docs:
         lines.append(f"#! doc = {doc.id}")
-        for idx, sentence in enumerate(doc.sentences):
-            label_rows = []
-            for event_type in event_types:
-                pairs = [(s.start, s.end) for s in doc.spans_of(event_type, idx)]
-                label_rows.append(scheme.encode(pairs, len(sentence)))
-            for t_idx, token in enumerate(sentence.tokens):
-                cells = [token.surface, token.stem, token.pos, token.chunk]
-                cells.extend(labels[t_idx] for labels in label_rows)
-                lines.append("\t".join(cells))
+        columns = [encode_document(doc, scheme, t) for t in event_types]
+        for sentence, *label_rows in zip(doc.sentences, *columns):
+            for token, *labels in zip(sentence.tokens, *label_rows):
+                lines.append("\t".join([token.surface, token.stem, token.pos,
+                                        token.chunk, *labels]))
             lines.append("")
     return "\n".join(lines) + "\n"
 

@@ -18,8 +18,6 @@ from .textprep import token_case, token_kind
 
 N_COLUMNS = 7  # index 0 unused so template column numbers apply directly
 
-COLUMN_NAMES = ("", "surface", "stem", "pos", "chunk", "kind", "case")
-
 MAX_OFFSET = 4
 
 DEFAULT_TEMPLATE_TEXT = """\

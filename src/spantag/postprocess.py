@@ -49,6 +49,8 @@ def parse_expander_config(text: str) -> ExpanderConfig:
         key = key.strip()
         if not sep or key not in _CONFIG_KEYS:
             raise ParseError(f"bad expander config line {line!r}", line_no)
+        if key in values:
+            raise ParseError(f"duplicate key {key!r}", line_no)
         items = frozenset(v.strip() for v in value.split(",") if v.strip())
         if not items:
             raise ParseError(f"empty set for {key!r}", line_no)

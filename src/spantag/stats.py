@@ -341,8 +341,9 @@ def crossval(docs: list[Document], cv: CvConfig,
                              expander)
     event_types = [t[0] for t in tasks]
     test_idxs = [t[3] for t in tasks]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(fold, event_types, test_idxs))
     else:
         outcomes = list(map(fold, event_types, test_idxs))

@@ -199,6 +199,7 @@ def parse_profile(text: str) -> SynthProfile:
     profile = default_profile()
     globals_seen: dict[str, float] = {}
     raw_events: dict[str, dict] = {}
+    keys_seen: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -218,6 +219,9 @@ def parse_profile(text: str) -> SynthProfile:
                 raise ParseError(f"{key} must be a whole number, got {value!r}",
                                  line_no)
             number = int(number)
+        if key in keys_seen:
+            raise ParseError(f"duplicate key {key!r}", line_no)
+        keys_seen.add(key)
         if key in _GLOBAL_KEYS:
             globals_seen[key] = number
             continue
@@ -240,9 +244,13 @@ def parse_profile(text: str) -> SynthProfile:
             entry["acronym_fraction"] = number
         elif len(fields) == 2 and fields[0] == "length":
             try:
-                entry["length_hist"][int(fields[1])] = number
+                length = int(fields[1])
             except ValueError:
                 raise ParseError(f"bad length key {key!r}", line_no) from None
+            if length in entry["length_hist"]:
+                raise ParseError(f"duplicate length {length} for {name}",
+                                 line_no)
+            entry["length_hist"][length] = number
         else:
             raise ParseError(f"unknown key {key!r}", line_no)
     if raw_events:

@@ -299,6 +299,17 @@ class TestTagCommand:
         assert "Traceback" not in proc.stderr
         assert "line 3: bad event type" in proc.stderr
 
+    def test_repeated_expander_key_is_a_data_error(self, workdir, corpus_file,
+                                                   model_file):
+        config = workdir / "repeated.expander"
+        config.write_text("noun_pos_tags = NN\nnoun_pos_tags = VB\n",
+                          encoding="utf-8")
+        proc = run_cli("tag", "--model", str(model_file),
+                       "--input", str(corpus_file), "--expander", str(config))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "line 2: duplicate key 'noun_pos_tags'" in proc.stderr
+
     def test_missing_model_file(self, workdir, corpus_file, capsys):
         rc = main(["tag", "--model", str(workdir / "void.model"),
                    "--input", str(corpus_file)])

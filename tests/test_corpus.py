@@ -1,14 +1,19 @@
 """Document model, column-file and standoff I/O, profile statistics."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spantag import synth
 from spantag.corpus import (PLACEHOLDER, Document, Sentence, Span, Token,
                             compute_profile, decode_document,
                             document_from_text, encode_document,
                             ordered_event_types, parse_column_file,
                             parse_standoff, write_column_file, write_standoff)
 from spantag.errors import ParseError, RepresentabilityError
-from spantag.schemes import get_scheme
+from spantag.schemes import SCHEME_NAMES, get_scheme
 
 from conftest import build_doc, build_sentence
 
@@ -64,11 +69,36 @@ class TestEncodeDecodeDocument:
                 tiny_doc.spans_of(event_type)
 
 
+def encode_by_sentence(doc, scheme, event_type):
+    """Reference encoder: scan every span of the document once per
+    sentence."""
+    return [scheme.encode([(s.start, s.end) for s in doc.gold_spans
+                           if s.event_type == event_type
+                           and s.sentence_index == idx], len(sentence))
+            for idx, sentence in enumerate(doc.sentences)]
+
+
 class TestColumnFileRoundTrip:
     def test_write_then_parse_is_identity(self, tiny_doc):
         text = write_column_file([tiny_doc], IOB)
         docs = parse_column_file(text)
         assert docs == [tiny_doc]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 3),
+           sentences=st.integers(1, 200),
+           scheme_name=st.sampled_from(SCHEME_NAMES))
+    def test_synth_corpora_round_trip(self, seed, n_docs, sentences,
+                                      scheme_name):
+        profile = dataclasses.replace(synth.default_profile(),
+                                      sentences_per_doc=sentences)
+        docs = synth.generate(profile, seed, n_docs)
+        scheme = get_scheme(scheme_name)
+        for doc in docs:
+            for event_type in profile.events:
+                assert encode_document(doc, scheme, event_type) == \
+                    encode_by_sentence(doc, scheme, event_type)
+        assert parse_column_file(write_column_file(docs, scheme)) == docs
 
     def test_write_is_deterministic(self, tiny_doc):
         a = write_column_file([tiny_doc], IOBW)

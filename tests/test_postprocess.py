@@ -169,6 +169,13 @@ class TestParseExpanderConfig:
             parse_expander_config("np_chunk_tags = , ,\n")
         assert exc.value.line == 1
 
+    def test_repeated_key_rejected_at_the_repeat(self):
+        with pytest.raises(ParseError, match="duplicate key 'noun_pos_tags'") \
+                as exc:
+            parse_expander_config("noun_pos_tags = NN\n# c\n"
+                                  "noun_pos_tags = VB\n")
+        assert exc.value.line == 3
+
 
 class TestPipelineSpans:
     def test_plain_mode_repairs_and_decodes(self):

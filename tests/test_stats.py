@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spantag import stats
 from spantag.corpus import Span
 from spantag.crf import TrainerConfig
 from spantag.errors import ConfigError, ParseError
@@ -340,6 +341,30 @@ class TestCrossval:
         serial = crossval(tiny_corpus(), cv, FAST_TRAINER, jobs=1).tsv()
         parallel = crossval(tiny_corpus(), cv, FAST_TRAINER, jobs=2).tsv()
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", [64, 10**20])
+    def test_pool_is_no_larger_than_the_task_count(self, monkeypatch, jobs):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(stats, "ProcessPoolExecutor", SerialPool)
+        cv = CvConfig(repeats=1, folds=2, seed=7, models=("IOB",),
+                      event_types=("PROBLEM", "TEST"))
+        pooled = crossval(tiny_corpus(), cv, FAST_TRAINER, jobs=jobs).tsv()
+        assert sizes == [4]
+        assert pooled == crossval(tiny_corpus(), cv, FAST_TRAINER).tsv()
 
     def test_too_few_documents_rejected(self):
         cv = CvConfig(repeats=1, folds=5, event_types=("PROBLEM",))

@@ -224,6 +224,24 @@ class TestProfileFiles:
         assert fragment in str(exc.value)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("first,repeat,fragment", [
+        ("sentences_per_doc = 3", "sentences_per_doc = 5",
+         "duplicate key 'sentences_per_doc'"),
+        ("PROBLEM.proportion = 1", "PROBLEM.proportion = 1",
+         "duplicate key 'PROBLEM.proportion'"),
+        ("PROBLEM.length.1 = 0.5", "PROBLEM.length.1 = 0.5",
+         "duplicate key 'PROBLEM.length.1'"),
+        ("PROBLEM.length.1 = 0.5", "PROBLEM.length.01 = 0.5",
+         "duplicate length 1 for PROBLEM"),
+        ("total.count = 3", "total.count = 3", "duplicate key 'total.count'"),
+    ])
+    def test_repeated_key_rejected_at_the_repeat(self, first, repeat,
+                                                 fragment):
+        with pytest.raises(ParseError) as exc:
+            parse_profile(f"{first}\nmention_rate = 1\n{repeat}\n")
+        assert fragment in str(exc.value)
+        assert exc.value.line == 3
+
     def test_whole_number_floats_accepted_for_counts(self):
         profile = parse_profile("sentences_per_doc = 4.0\n"
                                 "background_vocab = 1e2\n")
