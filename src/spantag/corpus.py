@@ -255,7 +255,8 @@ def parse_column_file(text: str) -> list[Document]:
     """Parse a column-format stream into documents.
 
     Tokens appearing before any `#! doc` directive go into an implicit
-    document with id "doc0".  Document ids must be unique.
+    document with id "doc0".  Document ids must be unique and, like
+    surfaces, free of whitespace.
     """
     spec: _ColumnSpec | None = None
     opened: list[tuple[str, list[Sentence], list[Span]]] = []
@@ -276,6 +277,9 @@ def parse_column_file(text: str) -> list[Document]:
             elif key == "doc":
                 if not value:
                     raise ParseError("empty document id", line_no)
+                if any(ch.isspace() for ch in value):
+                    raise ParseError(
+                        f"whitespace in document id {value!r}", line_no)
                 if value in doc_ids:
                     raise ParseError(f"duplicate document id {value!r}",
                                      line_no)

@@ -7,9 +7,10 @@ the L2-regularized negative log-likelihood
     f(w) = -sum_s log p(y_s | x_s; w) + ||w||^2 / (2C)
 
 (larger C, weaker regularization).  Training computes the partition
-function and marginals by scaled forward-backward in probability space,
-and by log-space forward-backward when the transition weights span too
-many nats for scaling; decoding is log-space Viterbi (lowest-index
+function and marginals by one scaled forward-backward in probability
+space.  Its domain is the transition weights that span at most
+``_SCALED_RANGE`` nats: past that the objective is +inf, a trial the
+line search rejects.  Decoding is log-space Viterbi (lowest-index
 tie-break).  The objective is lazy, as ``optim.minimize`` expects: a
 call runs the forward pass for f(w) and returns a function that runs
 the backward pass for the gradient, so a rejected line-search trial
@@ -351,10 +352,10 @@ class TimeMajor:
         self.off = np.concatenate(([0], np.cumsum(self.active)))
         self.last = self.off[sorted_lengths - 1] + np.arange(len(order))
         # sentence of each row: 0..active[t]-1 within block t
-        self.sentence = np.arange(self.off[-1]) - np.repeat(self.off[:-1],
-                                                            self.active)
+        sentence = np.arange(self.off[-1]) - np.repeat(self.off[:-1],
+                                                       self.active)
         starts = (np.cumsum(lengths) - lengths)[order]
-        self.rows = (starts[self.sentence]
+        self.rows = (starts[sentence]
                      + np.repeat(np.arange(n_steps), self.active))
 
     @property
@@ -404,6 +405,8 @@ def batch_viterbi(node: np.ndarray, lengths: np.ndarray, w_trans) -> np.ndarray:
     path = np.empty(len(node), dtype=np.intp)
     if not tm.n_steps:
         return path
+    if w_trans is None:  # adding 0.0 moves no max and no argmax
+        w_trans = np.zeros((node.shape[1],) * 2)
     delta = np.empty_like(node)
     back = np.empty(node.shape, dtype=np.intp)  # block 0 is never read
     first = tm.block(0)
@@ -411,13 +414,9 @@ def batch_viterbi(node: np.ndarray, lengths: np.ndarray, w_trans) -> np.ndarray:
     for t in range(1, tm.n_steps):
         prev = delta[tm.block(t - 1, tm.active[t])]
         cur = tm.block(t)
-        if w_trans is None:
-            back[cur] = np.argmax(prev, axis=1)[:, None]
-            delta[cur] = node[cur] + np.max(prev, axis=1)[:, None]
-        else:
-            scores = prev[:, :, None] + w_trans[None]
-            back[cur] = np.argmax(scores, axis=1)  # first max = lowest index
-            delta[cur] = node[cur] + np.max(scores, axis=1)
+        scores = prev[:, :, None] + w_trans[None]
+        back[cur] = np.argmax(scores, axis=1)  # first max = lowest index
+        delta[cur] = node[cur] + np.max(scores, axis=1)
     path[tm.last] = np.argmax(delta[tm.last], axis=1)
     for t in range(tm.n_steps - 2, -1, -1):
         k = tm.active[t + 1]
@@ -431,7 +430,8 @@ def batch_viterbi(node: np.ndarray, lengths: np.ndarray, w_trans) -> np.ndarray:
 # --- objective: batched path (used by train) -------------------------------
 
 # R: the widest transition-weight range (max - min, in nats) for which the
-# scaled forward-backward matches the log-space one to double precision.
+# scaled forward-backward matches log-space ``forward_backward`` to double
+# precision.
 # With T = exp(w_trans - max) every entry of T lies in [e^-R, 1], and each
 # node row is exponentiated after subtracting its maximum, so it holds a 1.
 # Every scaled alpha row sums to 1, so its largest entry is at least 1/L,
@@ -442,8 +442,10 @@ def batch_viterbi(node: np.ndarray, lengths: np.ndarray, w_trans) -> np.ndarray:
 # L e^2R: nothing overflows.  A term lost to underflow is below e^-745
 # while the sums it joins are at least e^-R / L, so any path the product
 # form drops is worth at most about e^(-745 + 2R) of Z.  Past R the call
-# takes the log-space recursion; in training only the first line search,
-# which steps along the raw gradient, goes that far.
+# returns +inf, which the line search rejects like any failed trial.
+# Iterates start at w = 0 and only accepted trials become iterates, so
+# every iterate, and every gradient, lies inside R; in training only the
+# first line searches, which step along the raw gradient, try past it.
 _SCALED_RANGE = 300.0
 
 
@@ -464,8 +466,9 @@ class BatchedObjective:
     its row sums c_t, and log Z is rebuilt from the logs of the scales
     and of the subtracted maxima.  The transition expectations are then
     one product over every non-first row.  When the transition weights
-    span more than ``_SCALED_RANGE`` nats, the call takes the log-space
-    recursion instead.
+    span more than ``_SCALED_RANGE`` nats, the call returns
+    ``(math.inf, None)`` without computing node scores: the weights are
+    outside the objective's domain, and the line search rejects the trial.
 
     A call computes the node scores and the forward pass, which give the
     value, and returns it with ``partial(self.gradient, weights,
@@ -500,12 +503,9 @@ class BatchedObjective:
         """(f(w), gradient function): the value from the node scores and
         the forward pass alone; calling the function runs the rest."""
         w_node, w_trans = self.alphabet.split(weights)
-        node = _node_scores(w_node, self.ids)
         if w_trans is not None and np.ptp(w_trans) > _SCALED_RANGE:
-            log_z, backward = self._log_space(node, w_trans)
-        else:
-            log_z, backward = self._scaled(node, w_trans)
-
+            return math.inf, None  # outside the domain: a rejected trial
+        log_z, backward = self._scaled(_node_scores(w_node, self.ids), w_trans)
         value = log_z - float(np.dot(weights, self.empirical))
         value += float(np.dot(weights, weights)) / (2.0 * self.C)
         if not np.isfinite(value):
@@ -591,44 +591,6 @@ class BatchedObjective:
         trans_expect = T * (alpha[self.prev].T @ u[len(tm.last):])
         alpha *= beta
         return alpha, trans_expect
-
-    def _log_space(self, node: np.ndarray, w_trans: np.ndarray):
-        """The same pair as ``_scaled``, by log-space forward-backward."""
-        tm = self.tm
-        alpha = np.empty_like(node)
-        first = tm.block(0)
-        alpha[first] = node[first]
-        for t in range(1, tm.n_steps):
-            prev = alpha[tm.block(t - 1, tm.active[t])]
-            cur = tm.block(t)
-            alpha[cur] = node[cur] + _logsumexp(
-                prev[:, :, None] + w_trans[None], axis=1)
-        log_z = _logsumexp(alpha[tm.last], axis=1)
-        return float(log_z.sum()), partial(self._log_space_backward, node,
-                                           w_trans, alpha, log_z)
-
-    def _log_space_backward(self, node, w_trans, alpha, log_z):
-        """The pair ``_backward`` returns, by log-space backward."""
-        tm = self.tm
-        beta = np.zeros_like(node)  # zero at every sentence's last step
-        nb = np.empty_like(node)  # node + beta, the backward messages
-        for t in range(tm.n_steps - 2, -1, -1):
-            nxt = tm.block(t + 1)
-            np.add(node[nxt], beta[nxt], out=nb[nxt])
-            cur = tm.block(t, tm.active[t + 1])
-            beta[cur] = _logsumexp(w_trans[None] + nb[nxt][:, None, :], axis=2)
-
-        marg = np.exp(alpha + beta - log_z[tm.sentence][:, None])
-        trans_expect = np.zeros_like(w_trans)
-        for t in range(1, tm.n_steps):
-            k = tm.active[t]
-            cur = tm.block(t)
-            em = alpha[tm.block(t - 1, k)][:, :, None] + w_trans[None]
-            em += nb[cur][:, None, :]
-            em -= log_z[:k][:, None, None]
-            np.exp(em, out=em)
-            trans_expect += em.sum(axis=0)
-        return marg, trans_expect
 
 
 # --- model ----------------------------------------------------------------

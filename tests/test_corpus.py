@@ -229,6 +229,7 @@ class TestColumnFileParsing:
         ("a\n", "before columns"),
         ("#! columns = surface pos\nonlyone\n", "expected 2 columns"),
         ("#! doc =\n#! columns = surface\n", "empty document id"),
+        ("#! columns = surface\n#! doc = a\tb\n", "whitespace in document id"),
     ])
     def test_parse_errors(self, bad, message):
         with pytest.raises(ParseError, match=message):
