@@ -18,13 +18,19 @@ costs one forward pass.
 
 Each layout decision has one home.  ``_expand`` streams a batch's
 feature strings once, and mapping them to ids gives a fixed-width
-(positions, rules) id matrix: ``FeatureAlphabet.intern``, the one
-interning rule, numbers them by first occurrence in C, and tagging gives
-an unseen one -1.  ``FeatureAlphabet.split`` reads the flat weight
-vector.  ``TimeMajor`` is the one row order: longest sentence first, one
-time step after another, so each step of forward-backward or Viterbi is
-a contiguous block of rows; ``BatchedObjective`` runs on a whole
-training corpus and ``CrfModel.tag`` on one document.  The per-sentence
+(positions, rules) id matrix: ``intern``, the one interning rule,
+numbers them by first occurrence in C, and tagging gives an unseen one
+-1.  ``build_alphabet`` is the one encoder from documents to an
+``EncodedCorpus``, which depends on neither scheme nor event type;
+``EncodedCorpus.fold`` renumbers a subset of its documents by the same
+first-occurrence rule, so cross-validation expands a corpus once and
+each fold trains on exactly the ids ``build_alphabet`` would give its
+documents.  ``FeatureAlphabet.split`` reads the flat weight vector.
+``TimeMajor`` is the one row order: longest sentence first, one time
+step after another, so each step of forward-backward or Viterbi is a
+contiguous block of rows; ``BatchedObjective`` runs on a whole training
+corpus and ``CrfModel._decode`` on a batch of sentences, one document
+for ``tag`` and a whole test fold for cross-validation.  The per-sentence
 ``Lattice``, ``forward_backward``, ``viterbi``, ``instance_lattice`` and
 ``objective_and_gradient`` are the reference implementations that the
 tests compare the batched paths against.
@@ -161,6 +167,17 @@ def sequence_score(lat: Lattice, labels: list[int]) -> float:
 
 # --- feature alphabet ----------------------------------------------------
 
+def intern(strings) -> tuple[dict[str, int], np.ndarray]:
+    """(feature index, id array) of a stream of feature strings: a string
+    gets the next id at its first occurrence, in C.  Once the stream ends,
+    the index no longer grows on lookup.  The ids are int32, half the size
+    of intp, since an encoded corpus outlives its trainings."""
+    index = defaultdict(count().__next__)
+    ids = np.fromiter(map(index.__getitem__, strings), dtype=np.int32)
+    index.default_factory = None
+    return index, ids
+
+
 class FeatureAlphabet:
     """Feature strings numbered 0..n-1 by first occurrence (``intern``
     hands out every id), and the flat weight layout over them.
@@ -180,12 +197,9 @@ class FeatureAlphabet:
 
     @classmethod
     def intern(cls, labels: tuple[str, ...], transitions: bool, strings):
-        """(alphabet, id array) of a stream of feature strings: a string
-        gets the next id at its first occurrence, in C.  Once the stream
-        ends, ``feat_index`` no longer grows on lookup."""
-        index = defaultdict(count().__next__)
-        ids = np.fromiter(map(index.__getitem__, strings), dtype=np.intp)
-        index.default_factory = None
+        """(alphabet, id array) of a stream of feature strings, numbered
+        by ``intern``."""
+        index, ids = intern(strings)
         return cls(labels, transitions, index), ids
 
     @property
@@ -226,19 +240,56 @@ class FeatureAlphabet:
 
 @dataclass
 class EncodedCorpus:
-    """A training corpus expanded once.
+    """Documents expanded once, for any scheme and event type.
 
     Row p of ``ids`` holds the feature ids of position p, one column per
-    template rule; positions run over the non-empty sentences in corpus
-    order, and ``lengths`` gives each such sentence's token count.
+    template rule; positions run over every sentence of ``docs`` in
+    order, and ``lengths`` gives each sentence's token count (an empty
+    sentence has no rows).  ``feat_index`` maps a feature string to its
+    id; in the test part of a ``fold`` an id of -1 marks a feature that
+    its training part lacks.
     """
-    alphabet: FeatureAlphabet
+    feat_index: dict[str, int]
     ids: np.ndarray  # (positions, n_rules)
     lengths: np.ndarray  # (sentences,)
+    docs: list[Document]
 
     @property
     def n_features(self) -> int:
-        return self.alphabet.n_features
+        return len(self.feat_index)
+
+    def fold(self, test_idx) -> tuple["EncodedCorpus", "EncodedCorpus"]:
+        """(training part, test part): the documents outside and inside
+        ``test_idx``, each in corpus order.  The training part renumbers
+        its ids by first occurrence in its own rows, the numbering that
+        ``build_alphabet`` gives those documents; the test part shares
+        that numbering."""
+        test = np.zeros(len(self.docs), dtype=bool)
+        test[test_idx] = True
+        test_sentence = np.repeat(test, [len(d.sentences) for d in self.docs])
+        test_row = np.repeat(test_sentence, self.lengths)
+        train_ids = self.ids[~test_row]
+        found, first = np.unique(train_ids, return_index=True)
+        kept = found[np.argsort(first)]  # old ids, by first occurrence
+        renumber = np.full(self.n_features, -1, dtype=np.intp)
+        renumber[kept] = np.arange(len(kept))
+        strings = list(self.feat_index)
+        feat_index = dict(zip(map(strings.__getitem__, kept.tolist()),
+                              range(len(kept))))
+
+        def part(rows, sentences, inside):
+            return EncodedCorpus(
+                feat_index, renumber[rows], self.lengths[sentences],
+                [d for d, t in zip(self.docs, test) if t == inside])
+
+        return (part(train_ids, ~test_sentence, False),
+                part(self.ids[test_row], test_sentence, True))
+
+    def by_document(self, rows: list) -> list[list]:
+        """Per-sentence ``rows`` of this corpus, grouped by document."""
+        ends = np.cumsum([len(d.sentences) for d in self.docs]).tolist()
+        return [rows[end - len(d.sentences):end]
+                for d, end in zip(self.docs, ends)]
 
 
 def _expand(template: FeatureTemplate, sentences):
@@ -250,18 +301,21 @@ def _expand(template: FeatureTemplate, sentences):
     return strings, np.array([len(s.tokens) for s in sentences], dtype=np.intp)
 
 
-def build_alphabet(docs: list[Document], template: FeatureTemplate,
-                   scheme: Scheme) -> EncodedCorpus:
-    """Expand every non-empty sentence once, interning feature strings in
-    first-occurrence order."""
+def build_alphabet(docs: list[Document],
+                   template: FeatureTemplate) -> EncodedCorpus:
+    """Expand every sentence once, numbering the feature strings by first
+    occurrence (``intern``).  The one path from documents to feature ids
+    for training: ``train`` encodes its documents here, and
+    ``stats.crossval`` encodes a whole corpus once and takes its folds
+    with ``EncodedCorpus.fold``."""
     if not any(doc.sentences for doc in docs):
         raise ConfigError("cannot build an alphabet from an empty corpus")
     strings, lengths = _expand(template, [s for doc in docs
-                                          for s in doc.sentences if s.tokens])
-    alphabet, ids = FeatureAlphabet.intern(scheme.labels, template.transitions,
-                                           strings)
-    return EncodedCorpus(alphabet, ids.reshape(lengths.sum(),
-                                               len(template.rules)), lengths)
+                                          for s in doc.sentences])
+    feat_index, ids = intern(strings)
+    return EncodedCorpus(feat_index,
+                         ids.reshape(lengths.sum(), len(template.rules)),
+                         lengths, list(docs))
 
 
 # --- gold labels, and sentences for the reference objective ---------------
@@ -269,7 +323,7 @@ def build_alphabet(docs: list[Document], template: FeatureTemplate,
 def make_instances(docs: list[Document], scheme: Scheme,
                    event_type: str) -> np.ndarray:
     """Gold label ids of every position, in the row order of the
-    ``build_alphabet`` matrix."""
+    ``build_alphabet`` matrix of ``docs``."""
     label_id = {lab: y for y, lab in enumerate(scheme.labels)}
     return np.array([label_id[lab] for doc in docs
                      for row in encode_document(doc, scheme, event_type)
@@ -452,13 +506,14 @@ _SCALED_RANGE = 300.0
 class BatchedObjective:
     """Vectorized objective over all sentences at once.
 
-    Takes the fixed-width id matrix of ``build_alphabet`` and the gold
-    ids of ``make_instances``, and keeps the id matrix in the row order of
-    the corpus's ``TimeMajor`` layout, where each time step is one
-    contiguous block of rows.  Node scores, forward, backward, the
-    transition expectations and the node gradient all run in that one
-    order.  Empirical counts do not depend on the weights and are folded
-    into one constant vector, so f(w) = sum logZ_s - w . emp + ||w||^2/(2C).
+    Takes the fixed-width id matrix and sentence lengths of an
+    ``EncodedCorpus`` and the gold ids of ``make_instances``, and keeps
+    the id matrix in the row order of the corpus's ``TimeMajor`` layout,
+    where each time step is one contiguous block of rows.  Node scores,
+    forward, backward, the transition expectations and the node gradient
+    all run in that one order.  Empirical counts do not depend on the
+    weights and are folded into one constant vector, so
+    f(w) = sum logZ_s - w . emp + ||w||^2/(2C).
 
     Forward-backward runs in probability space with per-step scaling
     (Rabiner 1989): the node scores and the transitions are exponentiated
@@ -478,12 +533,13 @@ class BatchedObjective:
     that state.
     """
 
-    def __init__(self, encoded: EncodedCorpus, gold: np.ndarray, C: float):
-        alphabet = self.alphabet = encoded.alphabet
+    def __init__(self, alphabet: FeatureAlphabet, ids: np.ndarray,
+                 lengths: np.ndarray, gold: np.ndarray, C: float):
+        self.alphabet = alphabet
         self.C = C
-        self.n_rules = encoded.ids.shape[1]
-        tm = self.tm = TimeMajor(encoded.lengths)
-        self.ids = encoded.ids[tm.rows]
+        self.n_rules = ids.shape[1]
+        tm = self.tm = TimeMajor(lengths)
+        self.ids = ids[tm.rows].astype(np.intp)  # what bincount counts in
         # the previous-step row of each row past step 0
         self.prev = (np.arange(len(tm.last), tm.off[-1])
                      - np.repeat(tm.active[:-1], tm.active[1:]))
@@ -492,8 +548,7 @@ class BatchedObjective:
         # accumulated in input order
         emp = np.zeros(alphabet.dim)
         e_node, e_trans = alphabet.split(emp)
-        np.add.at(e_node, (encoded.ids.ravel(), np.repeat(gold, self.n_rules)),
-                  1.0)
+        np.add.at(e_node, (ids.ravel(), np.repeat(gold, self.n_rules)), 1.0)
         if e_trans is not None:
             nxt = tm.rows[len(tm.last):]  # rows past step 0: non-first positions
             np.add.at(e_trans, (gold[nxt - 1], gold[nxt]), 1.0)
@@ -604,12 +659,10 @@ class CrfModel:
     event_type: str
     log: optim.IterationLog | None = field(default=None, repr=False)
 
-    def _decode(self, sentences) -> list[list[str]]:
-        # a feature unseen in training gets id -1 and scores zero
-        strings, lengths = _expand(self.template, sentences)
-        get = self.alphabet.feat_index.get
-        ids = np.fromiter(map(get, strings, repeat(-1)), np.intp).reshape(
-            lengths.sum(), len(self.template.rules))
+    def _decode(self, ids: np.ndarray, lengths: np.ndarray) -> list[list[str]]:
+        """Label rows of a batch of sentences, from their (positions,
+        rules) feature ids and token counts; an id of -1 marks a feature
+        unseen in training, which scores zero."""
         w_node, w_trans = self.alphabet.split(self.weights)
         path = batch_viterbi(_node_scores(w_node, ids, unseen=True), lengths,
                              w_trans)
@@ -619,20 +672,32 @@ class CrfModel:
 
     def tag(self, doc: Document) -> list[list[str]]:
         """Label rows of every sentence, decoded as one batch."""
-        return self._decode(doc.sentences)
+        strings, lengths = _expand(self.template, doc.sentences)
+        get = self.alphabet.feat_index.get
+        ids = np.fromiter(map(get, strings, repeat(-1)), np.intp)
+        return self._decode(
+            ids.reshape(lengths.sum(), len(self.template.rules)), lengths)
 
 
-def train(docs: list[Document], template: FeatureTemplate, scheme: Scheme,
-          event_type: str, config: TrainerConfig = TrainerConfig()) -> CrfModel:
-    """Fit a per-event-type model by regularized maximum likelihood."""
+def train(docs: list[Document] | EncodedCorpus, template: FeatureTemplate,
+          scheme: Scheme, event_type: str,
+          config: TrainerConfig = TrainerConfig()) -> CrfModel:
+    """Fit a per-event-type model by regularized maximum likelihood.
+
+    ``docs`` is a list of documents, or their ``EncodedCorpus`` under
+    ``template``, which gives the same model without expanding them
+    again."""
     if not _TYPE_RE.match(event_type):
         raise ConfigError(f"bad event type {event_type!r}")
-    encoded = build_alphabet(docs, template, scheme)
-    gold = make_instances(docs, scheme, event_type)
+    encoded = (docs if isinstance(docs, EncodedCorpus)
+               else build_alphabet(docs, template))
+    gold = make_instances(encoded.docs, scheme, event_type)
     if not gold.size:
         raise ConfigError("no non-empty sentences to train on")
-    objective = BatchedObjective(encoded, gold, config.C)
-    alphabet = encoded.alphabet
+    alphabet = FeatureAlphabet(scheme.labels, template.transitions,
+                               encoded.feat_index)
+    objective = BatchedObjective(alphabet, encoded.ids, encoded.lengths, gold,
+                                 config.C)
     weights, log = optim.minimize(
         objective, np.zeros(alphabet.dim),
         memory=config.lbfgs_memory, eta=config.eta,

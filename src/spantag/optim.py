@@ -87,6 +87,8 @@ def minimize(fun, x0, *, memory: int = 10, eta: float = 1e-4,
     log = IterationLog()
     f, gradient = fun(x)
     log.evaluations += 1
+    if not np.isfinite(f):  # outside the domain there is no gradient
+        raise NumericError("objective is non-finite at the start point")
     g = gradient()
     del gradient
     _check_finite(f, g)

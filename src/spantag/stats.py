@@ -8,6 +8,12 @@ optional post-processing mode ("IOBW+" is the IOBW scheme followed by
 boundary adjustment and expansion).  Folds are shuffled with a seed
 derived per (event type, repeat), so folds across event types are
 unpaired.
+
+Features depend on neither the scheme, the fold nor the event type, so
+``crossval`` expands the corpus once (``crf.build_alphabet``) and every
+fold renumbers that encoding (``EncodedCorpus.fold``); only the gold
+labels are computed per scheme.  Under ``jobs`` > 1 each worker process
+receives the encoding once, through the pool's initializer.
 """
 
 import functools
@@ -284,29 +290,43 @@ def make_folds(n_docs: int, folds: int, seed: int) -> list[list[int]]:
     return out
 
 
-def _run_fold(docs: list[Document], models: tuple[str, ...],
+def _run_fold(encoded: crf.EncodedCorpus, models: tuple[str, ...],
               trainer: crf.TrainerConfig, template: FeatureTemplate,
               expander: ExpanderConfig, event_type: str, test_idx: list[int]):
-    """Train every scheme the model list needs on the non-test documents
-    and tag the held-out fold once per scheme, then score each model."""
-    test_set = set(test_idx)
-    train_docs = [d for i, d in enumerate(docs) if i not in test_set]
-    test_docs = [docs[i] for i in test_idx]
-    gold = {d.id: d.spans_of(event_type) for d in test_docs}
+    """Train every scheme the model list needs on the fold's training part
+    of the shared encoding, decode its test sentences as one batch per
+    scheme, then score each model."""
+    train_part, test_part = encoded.fold(test_idx)
+    gold = {d.id: d.spans_of(event_type) for d in test_part.docs}
     results = {}
     tagged = {}  # scheme name -> (model, label rows per test document)
     for model_name in models:
         scheme_name, mode = MODEL_CONFIGS[model_name]
         if scheme_name not in tagged:
-            model = crf.train(train_docs, template, get_scheme(scheme_name),
+            model = crf.train(train_part, template, get_scheme(scheme_name),
                               event_type, trainer)
-            tagged[scheme_name] = (model, [model.tag(d) for d in test_docs])
+            rows = model._decode(test_part.ids, test_part.lengths)
+            tagged[scheme_name] = (model, test_part.by_document(rows))
         model, rows = tagged[scheme_name]
         system = {doc.id: pipeline_spans(doc_rows, doc, model.scheme,
                                          event_type, mode, expander)
-                  for doc, doc_rows in zip(test_docs, rows)}
+                  for doc, doc_rows in zip(test_part.docs, rows)}
         results[model_name] = f1_scores(gold, system, event_type)
     return results
+
+
+# ``_run_fold`` with the shared arguments, set by the pool initializer in
+# each worker process: the encoding is sent once per worker, not per task
+_worker_fold = None
+
+
+def _init_worker(*shared):
+    global _worker_fold
+    _worker_fold = functools.partial(_run_fold, *shared)
+
+
+def _run_worker_fold(event_type: str, test_idx: list[int]):
+    return _worker_fold(event_type, test_idx)
 
 
 def crossval(docs: list[Document], cv: CvConfig,
@@ -319,7 +339,7 @@ def crossval(docs: list[Document], cv: CvConfig,
     Per (event type, repeat), documents are shuffled with a derived
     seed and split into near-equal folds; training order inside a fold
     follows corpus order so results are bit-reproducible regardless of
-    ``jobs``.
+    ``jobs``.  The corpus is encoded once and shared by every task.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -337,16 +357,18 @@ def crossval(docs: list[Document], cv: CvConfig,
                     make_folds(len(docs), cv.folds, fold_seed)):
                 tasks.append((event_type, repeat, fold, test_idx))
 
-    fold = functools.partial(_run_fold, docs, cv.models, trainer, template,
-                             expander)
+    shared = (crf.build_alphabet(docs, template), cv.models, trainer,
+              template, expander)
     event_types = [t[0] for t in tasks]
     test_idxs = [t[3] for t in tasks]
     workers = min(jobs, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(fold, event_types, test_idxs))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=shared) as pool:
+            outcomes = list(pool.map(_run_worker_fold, event_types, test_idxs))
     else:
-        outcomes = list(map(fold, event_types, test_idxs))
+        outcomes = list(map(functools.partial(_run_fold, *shared),
+                            event_types, test_idxs))
 
     matrix = RunMatrix(cv.repeats, cv.folds, tuple(cv.models),
                        tuple(cv.event_types))

@@ -6,13 +6,15 @@ expansion is only measured if ``crf`` calls them as its own module
 globals.  This test installs that tracer on a tiny corpus and checks
 that every name resolves, that the main layers record spans, that the
 expansion counter sees every token once per pass, and that ``restore``
-puts the originals back.
+puts the originals back.  The crossval-slice check counts trainings by
+replacing ``crf.train``, so crossval must still call it once per
+(fold, scheme).
 """
 
 import sys
 from pathlib import Path
 
-from spantag import crf, synth
+from spantag import crf, stats, synth
 from spantag.crf import TrainerConfig
 from spantag.features import default_template
 from spantag.schemes import get_scheme
@@ -45,3 +47,28 @@ def test_tracer_wraps_and_restores_the_program():
             "crf.tag"} <= names
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original
+
+
+def test_crossval_expands_once_and_trains_per_fold_and_scheme(monkeypatch):
+    docs = synth.generate(synth.default_profile(), 12, 6)
+    tokens = sum(len(s.tokens) for d in docs for s in d.sentences)
+    cv = stats.CvConfig(repeats=1, folds=3, seed=1,
+                        models=("IO", "IOB", "IOBW", "IOBW+"),
+                        event_types=("PROBLEM",))
+    trainings = []
+    train = crf.train
+
+    def recording_train(*args, **kwargs):
+        trainings.append(args[0])
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(crf, "train", recording_train)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        stats.crossval(docs, cv, TrainerConfig(max_iterations=5))
+    finally:
+        tracer.restore()
+    assert tracer.positions_expanded == tokens
+    assert len(trainings) == 3 * cv.folds  # schemes IO, IOB, IOBW
+    assert all(isinstance(t, crf.EncodedCorpus) for t in trainings)

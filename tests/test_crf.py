@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spantag import synth
@@ -15,7 +15,6 @@ from spantag.corpus import (Document, Sentence, Span, encode_document,
 from spantag.crf import (
     BatchedObjective,
     CrfModel,
-    EncodedCorpus,
     FeatureAlphabet,
     Instance,
     Lattice,
@@ -176,13 +175,11 @@ def toy_instances(rng, alphabet, n_sentences, max_len, ragged=False):
 
 def batched(instances, alphabet, C):
     """The batched objective over fixed-width instances."""
-    encoded = EncodedCorpus(
-        alphabet,
-        np.array([fids for inst in instances for fids in inst.feats],
-                 dtype=np.intp),
-        np.array([len(inst.gold) for inst in instances], dtype=np.intp))
+    ids = np.array([fids for inst in instances for fids in inst.feats],
+                   dtype=np.intp)
+    lengths = np.array([len(inst.gold) for inst in instances], dtype=np.intp)
     gold = np.array([y for inst in instances for y in inst.gold], dtype=np.intp)
-    return BatchedObjective(encoded, gold, C)
+    return BatchedObjective(alphabet, ids, lengths, gold, C)
 
 
 def check_central_differences(rng, instances, alphabet):
@@ -393,7 +390,7 @@ class TestInstances:
     def test_every_position_gets_all_template_rules(self):
         docs = separable_docs(1)
         template = default_template()
-        encoded = build_alphabet(docs, template, get_scheme("IO"))
+        encoded = build_alphabet(docs, template)
         tokens = sum(len(s.tokens) for s in docs[0].sentences)
         assert encoded.ids.shape == (tokens, len(template.rules))
         assert encoded.lengths.tolist() == [3, 4]
@@ -405,12 +402,12 @@ class TestInstances:
                                                    transitions):
         docs = synth.generate(synth.default_profile(), seed, n_docs)
         template = default_template(transitions)
-        encoded = build_alphabet(docs, template, get_scheme("IOBW"))
-        sentences = [s for d in docs for s in d.sentences if s.tokens]
+        encoded = build_alphabet(docs, template)
+        sentences = [s for d in docs for s in d.sentences]
         tokens = sum(len(s.tokens) for s in sentences)
         assert encoded.ids.shape == (tokens, len(template.rules))
         assert encoded.lengths.tolist() == [len(s.tokens) for s in sentences]
-        strings = encoded.alphabet.feature_strings()
+        strings = list(encoded.feat_index)
         at = 0
         for sentence in sentences:
             rows = encoded.ids[at:at + len(sentence.tokens)]
@@ -447,8 +444,7 @@ class TestInstances:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
-            build_alphabet([build_doc("d0", [])], default_template(),
-                           get_scheme("IO"))
+            build_alphabet([build_doc("d0", [])], default_template())
 
     def test_empty_sentences_are_skipped(self):
         docs = [build_doc("d0", [Sentence([]),
@@ -456,11 +452,54 @@ class TestInstances:
                           [Span(1, 0, 1, "PROBLEM")])]
         scheme = get_scheme("IOB")
         template = default_template()
-        encoded = build_alphabet(docs, template, scheme)
-        assert encoded.lengths.tolist() == [1]
+        encoded = build_alphabet(docs, template)
+        assert encoded.lengths.tolist() == [0, 1]
         assert encoded.ids.shape == (1, len(template.rules))
         gold = make_instances(docs, scheme, "PROBLEM")
         assert gold.tolist() == [scheme.labels.index("B")]
+
+
+class TestFoldEncoding:
+    """A fold of a shared encoding against its documents encoded alone."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(2, 4),
+           transitions=st.booleans(), scheme=st.sampled_from(SCHEME_NAMES),
+           data=st.data())
+    def test_fold_matches_its_documents_encoded_alone(
+            self, seed, n_docs, transitions, scheme, data):
+        docs = synth.generate(synth.default_profile(), seed, n_docs)
+        docs[0].sentences.append(Sentence([]))
+        docs.insert(data.draw(st.integers(0, n_docs)), Document("none", []))
+        test_idx = sorted(data.draw(st.sets(st.integers(0, n_docs))))
+        train_docs = [d for i, d in enumerate(docs) if i not in test_idx]
+        test_docs = [docs[i] for i in test_idx]
+        assume(any(s.tokens for d in train_docs for s in d.sentences))
+        template = default_template(transitions)
+        train_part, test_part = build_alphabet(docs, template).fold(test_idx)
+
+        alone = build_alphabet(train_docs, template)
+        assert list(train_part.feat_index) == list(alone.feat_index)
+        np.testing.assert_array_equal(train_part.ids, alone.ids)
+        np.testing.assert_array_equal(train_part.lengths, alone.lengths)
+        assert train_part.docs == train_docs
+        assert test_part.docs == test_docs
+        assert test_part.feat_index is train_part.feat_index
+        sentences = [s for d in test_docs for s in d.sentences]
+        want = [alone.feat_index.get(f, -1) for s in sentences
+                for position in expand_sentence(template, feature_table(s))
+                for f in position]
+        assert test_part.ids.ravel().tolist() == want
+        assert test_part.lengths.tolist() == [len(s.tokens) for s in sentences]
+
+        config = TrainerConfig(max_iterations=4)
+        shared = train(train_part, template, get_scheme(scheme), "PROBLEM",
+                       config)
+        model = train(train_docs, template, get_scheme(scheme), "PROBLEM",
+                      config)
+        assert save_model(shared) == save_model(model)
+        rows = shared._decode(test_part.ids, test_part.lengths)
+        assert test_part.by_document(rows) == [model.tag(d) for d in test_docs]
 
 
 # --- training ----------------------------------------------------------------

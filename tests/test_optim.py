@@ -9,9 +9,11 @@ import weakref
 import numpy as np
 import pytest
 
-from spantag import optim
+from spantag import crf, optim, synth
 from spantag.errors import NumericError, TrainingError
+from spantag.features import default_template
 from spantag.optim import IterationLog, minimize
+from spantag.schemes import get_scheme
 
 
 def quadratic(center, scale):
@@ -153,6 +155,22 @@ class TestFailureModes:
             return float("nan"), lambda: x
         with pytest.raises(NumericError):
             minimize(blows_up, np.ones(2))
+
+    def test_start_outside_the_domain_raises_numeric_error(self):
+        # a transition weight of 400 spreads the transitions past
+        # _SCALED_RANGE: the objective's value is +inf, with no gradient
+        docs = synth.generate(synth.default_profile(), 3, 4)
+        template = default_template(transitions=True)
+        scheme = get_scheme("IOB")
+        encoded = crf.build_alphabet(docs, template)
+        alphabet = crf.FeatureAlphabet(scheme.labels, True, encoded.feat_index)
+        objective = crf.BatchedObjective(
+            alphabet, encoded.ids, encoded.lengths,
+            crf.make_instances(docs, scheme, "PROBLEM"), C=1.0)
+        x0 = np.zeros(alphabet.dim)
+        x0[-1] = 400.0
+        with pytest.raises(NumericError):
+            minimize(objective, x0)
 
     def test_non_finite_gradient_raises_numeric_error(self):
         def bad_grad(x):

@@ -5,11 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from spantag import stats
-from spantag.corpus import Span
-from spantag.crf import TrainerConfig
+from spantag import stats, synth
+from spantag.corpus import Sentence, Span
+from spantag.crf import TrainerConfig, train
 from spantag.errors import ConfigError, ParseError
+from spantag.evaluation import f1_scores
+from spantag.features import default_template
+from spantag.postprocess import pipeline_spans
+from spantag.rng import derive_seed
+from spantag.schemes import get_scheme
 from spantag.stats import (
+    MODEL_NAMES,
     CvConfig,
     RunMatrix,
     anova_oneway,
@@ -303,6 +309,12 @@ class TestCvConfig:
             CvConfig(event_types=())
 
 
+TWO_TYPES = synth.SynthProfile(
+    {"ALPHA": synth.EventSpec(0.5, {1: 0.4, 2: 0.6}, 0.5, 0.1),
+     "BETA": synth.EventSpec(0.5, {1: 0.7, 2: 0.3}, 0.3, 0.0)},
+    sentences_per_doc=3, mention_rate=1.5)
+
+
 def tiny_corpus(n_docs=8):
     docs = []
     for i in range(n_docs):
@@ -316,6 +328,36 @@ def tiny_corpus(n_docs=8):
 
 
 FAST_TRAINER = TrainerConfig(max_iterations=60)
+
+
+def per_fold_crossval(docs, cv, trainer):
+    """``crossval`` as it ran before the corpus was encoded once: each
+    (fold, scheme) trains on its own documents and tags every test
+    document on its own.  The oracle for the shared encoding."""
+    template = default_template(transitions=True)
+    matrix = RunMatrix(cv.repeats, cv.folds, cv.models, cv.event_types)
+    for event_type in cv.event_types:
+        for repeat in range(cv.repeats):
+            seed = derive_seed(cv.seed, event_type, repeat)
+            for test_idx in make_folds(len(docs), cv.folds, seed):
+                train_docs = [d for i, d in enumerate(docs)
+                              if i not in test_idx]
+                test_docs = [docs[i] for i in test_idx]
+                gold = {d.id: d.spans_of(event_type) for d in test_docs}
+                models = {}
+                for name in cv.models:
+                    scheme, mode = stats.MODEL_CONFIGS[name]
+                    if scheme not in models:
+                        models[scheme] = train(train_docs, template,
+                                               get_scheme(scheme), event_type,
+                                               trainer)
+                    model = models[scheme]
+                    system = {d.id: pipeline_spans(model.tag(d), d, model.scheme,
+                                                   event_type, mode)
+                              for d in test_docs}
+                    matrix.scores.setdefault((event_type, name), []).append(
+                        f1_scores(gold, system, event_type))
+    return matrix
 
 
 class TestCrossval:
@@ -336,8 +378,9 @@ class TestCrossval:
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
-        cv = CvConfig(repeats=1, folds=2, seed=7, models=("IOB",),
-                      event_types=("PROBLEM",))
+        # two event types x two repeats share one encoding in each worker
+        cv = CvConfig(repeats=2, folds=2, seed=7, models=("IOB",),
+                      event_types=("PROBLEM", "TEST"))
         serial = crossval(tiny_corpus(), cv, FAST_TRAINER, jobs=1).tsv()
         parallel = crossval(tiny_corpus(), cv, FAST_TRAINER, jobs=2).tsv()
         assert serial == parallel
@@ -347,8 +390,9 @@ class TestCrossval:
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -360,11 +404,21 @@ class TestCrossval:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(stats, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(stats, "_worker_fold", None)  # restored after
         cv = CvConfig(repeats=1, folds=2, seed=7, models=("IOB",),
                       event_types=("PROBLEM", "TEST"))
         pooled = crossval(tiny_corpus(), cv, FAST_TRAINER, jobs=jobs).tsv()
         assert sizes == [4]
         assert pooled == crossval(tiny_corpus(), cv, FAST_TRAINER).tsv()
+
+    def test_matches_training_on_each_folds_documents(self):
+        docs = synth.generate(TWO_TYPES, 31, 9)
+        docs[1].sentences.append(Sentence([]))
+        docs.insert(4, build_doc("none", []))
+        cv = CvConfig(repeats=1, folds=3, seed=3, models=MODEL_NAMES,
+                      event_types=("ALPHA", "BETA"))
+        assert crossval(docs, cv, FAST_TRAINER).tsv() == \
+            per_fold_crossval(docs, cv, FAST_TRAINER).tsv()
 
     def test_too_few_documents_rejected(self):
         cv = CvConfig(repeats=1, folds=5, event_types=("PROBLEM",))
