@@ -195,13 +195,6 @@ class FeatureAlphabet:
         self.transitions = transitions
         self.feat_index = feat_index
 
-    @classmethod
-    def intern(cls, labels: tuple[str, ...], transitions: bool, strings):
-        """(alphabet, id array) of a stream of feature strings, numbered
-        by ``intern``."""
-        index, ids = intern(strings)
-        return cls(labels, transitions, index), ids
-
     @property
     def n_labels(self) -> int:
         return len(self.labels)
@@ -247,12 +240,14 @@ class EncodedCorpus:
     order, and ``lengths`` gives each sentence's token count (an empty
     sentence has no rows).  ``feat_index`` maps a feature string to its
     id; in the test part of a ``fold`` an id of -1 marks a feature that
-    its training part lacks.
+    its training part lacks.  ``template`` is the one the documents were
+    expanded under.
     """
     feat_index: dict[str, int]
     ids: np.ndarray  # (positions, n_rules)
     lengths: np.ndarray  # (sentences,)
     docs: list[Document]
+    template: FeatureTemplate
 
     @property
     def n_features(self) -> int:
@@ -280,7 +275,8 @@ class EncodedCorpus:
         def part(rows, sentences, inside):
             return EncodedCorpus(
                 feat_index, renumber[rows], self.lengths[sentences],
-                [d for d, t in zip(self.docs, test) if t == inside])
+                [d for d, t in zip(self.docs, test) if t == inside],
+                self.template)
 
         return (part(train_ids, ~test_sentence, False),
                 part(self.ids[test_row], test_sentence, True))
@@ -315,7 +311,7 @@ def build_alphabet(docs: list[Document],
     feat_index, ids = intern(strings)
     return EncodedCorpus(feat_index,
                          ids.reshape(lengths.sum(), len(template.rules)),
-                         lengths, list(docs))
+                         lengths, list(docs), template)
 
 
 # --- gold labels, and sentences for the reference objective ---------------
@@ -539,7 +535,7 @@ class BatchedObjective:
         self.C = C
         self.n_rules = ids.shape[1]
         tm = self.tm = TimeMajor(lengths)
-        self.ids = ids[tm.rows].astype(np.intp)  # what bincount counts in
+        self.ids = ids[tm.rows].astype(np.intp, copy=False)  # bincount's type
         # the previous-step row of each row past step 0
         self.prev = (np.arange(len(tm.last), tm.off[-1])
                      - np.repeat(tm.active[:-1], tm.active[1:]))
@@ -691,6 +687,8 @@ def train(docs: list[Document] | EncodedCorpus, template: FeatureTemplate,
         raise ConfigError(f"bad event type {event_type!r}")
     encoded = (docs if isinstance(docs, EncodedCorpus)
                else build_alphabet(docs, template))
+    if encoded.template.rules != template.rules:
+        raise ConfigError("the encoding was expanded under another template")
     gold = make_instances(encoded.docs, scheme, event_type)
     if not gold.size:
         raise ConfigError("no non-empty sentences to train on")
@@ -783,7 +781,7 @@ def load_model(text: str) -> CrfModel:
                          len(lines))
     names = (raw.partition("\t")[2].partition("\t")[0]  # a feature's first row
              for raw in rows[:n_features * L:L])
-    alphabet, _ = FeatureAlphabet.intern(labels, transitions, names)
+    alphabet = FeatureAlphabet(labels, transitions, intern(names)[0])
     weights = np.zeros(expected)
     layout = zip_longest(rows, alphabet.cells())  # None past a short layout
     for pos, (raw, cell) in enumerate(layout):

@@ -317,6 +317,7 @@ def _run_fold(encoded: crf.EncodedCorpus, models: tuple[str, ...],
 
 # ``_run_fold`` with the shared arguments, set by the pool initializer in
 # each worker process: the encoding is sent once per worker, not per task
+# (measured at --jobs 2 in BENCH_shared_encoding.json, "jobs2_pool")
 _worker_fold = None
 
 

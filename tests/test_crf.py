@@ -25,6 +25,7 @@ from spantag.crf import (
     build_alphabet,
     forward_backward,
     instance_lattice,
+    intern,
     load_model,
     make_instances,
     objective_and_gradient,
@@ -149,10 +150,9 @@ class TestViterbiTieBreaking:
 # --- objective and gradient -------------------------------------------------
 
 def toy_alphabet(n_features, n_labels, transitions):
-    alphabet, _ = FeatureAlphabet.intern(
-        tuple(f"L{i}" for i in range(n_labels)), transitions,
-        (f"f{f}" for f in range(n_features)))
-    return alphabet
+    index, _ = intern(f"f{f}" for f in range(n_features))
+    return FeatureAlphabet(tuple(f"L{i}" for i in range(n_labels)),
+                           transitions, index)
 
 
 def toy_instances(rng, alphabet, n_sentences, max_len, ragged=False):
@@ -420,8 +420,8 @@ class TestInstances:
         assert flat[np.sort(first)].tolist() == list(range(len(strings)))
 
     def test_interning_and_lookup(self, trained):
-        alphabet, ids = FeatureAlphabet.intern(("O", "I"), False,
-                                               ["b", "a", "b", "c", "a", "b"])
+        index, ids = intern(["b", "a", "b", "c", "a", "b"])
+        alphabet = FeatureAlphabet(("O", "I"), False, index)
         # a repeat keeps its first id; ids run 0..n-1 by first occurrence
         assert ids.tolist() == [0, 1, 0, 2, 1, 0]
         assert alphabet.feat_index == {"b": 0, "a": 1, "c": 2}
@@ -500,6 +500,19 @@ class TestFoldEncoding:
         assert save_model(shared) == save_model(model)
         rows = shared._decode(test_part.ids, test_part.lengths)
         assert test_part.by_document(rows) == [model.tag(d) for d in test_docs]
+
+    def test_training_rejects_an_encoding_of_another_template(self):
+        docs = separable_docs(2)
+        encoded = build_alphabet(docs, parse_template("U00:%x[0,1]\n"))
+        other = parse_template("U00:%x[0,1]\nU01:%x[-1,1]\n")
+        with pytest.raises(ConfigError, match="another template"):
+            train(encoded, other, get_scheme("IOB"), "PROBLEM")
+        # the rules decide; a template that differs only in its text or
+        # its transitions flag expands to the same features
+        model = train(encoded, parse_template("# unigram\nU00:%x[0,1]\nB\n"),
+                      get_scheme("IOB"), "PROBLEM",
+                      TrainerConfig(max_iterations=2))
+        assert model.alphabet.feat_index is encoded.feat_index
 
 
 # --- training ----------------------------------------------------------------
@@ -611,8 +624,8 @@ class TestModelFile:
     def test_untrained_weights_round_trip_verbatim(self):
         # exercises repr-level float fidelity on awkward values
         scheme = get_scheme("IO")
-        alphabet, _ = FeatureAlphabet.intern(scheme.labels, True,
-                                             ["U00=alpha", "U00=beta"])
+        alphabet = FeatureAlphabet(scheme.labels, True,
+                                   intern(["U00=alpha", "U00=beta"])[0])
         weights = np.array([0.1, -1e-17, 3.141592653589793, 2**-40,
                             1e300, -7.0, 0.3333333333333333, 42.0])
         model = CrfModel(alphabet, weights, scheme,
@@ -628,8 +641,8 @@ class TestModelFile:
     def test_save_load_save_is_byte_identical(self, data, scheme_name,
                                               transitions, features):
         scheme = get_scheme(scheme_name)
-        alphabet, _ = FeatureAlphabet.intern(scheme.labels, transitions,
-                                             features)
+        alphabet = FeatureAlphabet(scheme.labels, transitions,
+                                   intern(features)[0])
         # the awkward values first, then arbitrary finite doubles, shuffled
         drawn = data.draw(st.lists(
             st.floats(allow_nan=False, allow_infinity=False),
@@ -707,8 +720,8 @@ class TestModelFile:
         # without a "B" template line, "yes" would not disagree with the
         # template; the flag itself must be rejected
         scheme = get_scheme("IO")
-        alphabet, _ = FeatureAlphabet.intern(scheme.labels, False,
-                                             ["U00=alpha"])
+        alphabet = FeatureAlphabet(scheme.labels, False,
+                                   intern(["U00=alpha"])[0])
         model = CrfModel(alphabet, np.zeros(alphabet.dim), scheme,
                          parse_template("U00:%x[0,1]\n"), "TEST")
         text = save_model(model).replace("transitions = false",
@@ -764,8 +777,8 @@ class TestModelFile:
     def test_rejects_repeated_feature(self, transitions):
         # the last feature's rows renamed to the first feature
         scheme = get_scheme("IO")
-        alphabet, _ = FeatureAlphabet.intern(
-            scheme.labels, transitions, ["U00=alpha", "U00=beta", "U00=gamma"])
+        index, _ = intern(["U00=alpha", "U00=beta", "U00=gamma"])
+        alphabet = FeatureAlphabet(scheme.labels, transitions, index)
         template = "U00:%x[0,1]\n" + ("B\n" if transitions else "")
         model = CrfModel(alphabet, np.zeros(alphabet.dim), scheme,
                          parse_template(template), "TEST")
@@ -886,7 +899,7 @@ class TestModelTagging:
         # a model file may list no features: every position scores zero
         # and only the transitions decide
         scheme = get_scheme("IOB")
-        alphabet, _ = FeatureAlphabet.intern(scheme.labels, True, [])
+        alphabet = FeatureAlphabet(scheme.labels, True, {})
         weights = np.array([0.0, -1.0, 2.0, 0.5, 0.0, -3.0, 1.0, 0.0, 0.0])
         model = CrfModel(alphabet, weights, scheme,
                          parse_template("U00:%x[0,1]\nB\n"), "TEST")

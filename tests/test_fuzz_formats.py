@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from spantag import synth
 from spantag.corpus import (Span, parse_column_file, parse_standoff,
                             write_column_file, write_standoff)
-from spantag.crf import CrfModel, FeatureAlphabet, load_model, save_model
+from spantag.crf import (CrfModel, FeatureAlphabet, intern, load_model,
+                         save_model)
 from spantag.errors import SpantagError
 from spantag.features import parse_template
 from spantag.postprocess import parse_expander_config
@@ -45,8 +46,8 @@ def _joint_column_file():
 
 def _model_file():
     scheme = get_scheme("IOB")
-    alphabet, _ = FeatureAlphabet.intern(scheme.labels, True,
-                                         ["U00=pain", "U00=ecg"])
+    alphabet = FeatureAlphabet(scheme.labels, True,
+                               intern(["U00=pain", "U00=ecg"])[0])
     weights = np.linspace(-1.5, 2.0, alphabet.dim)
     return save_model(CrfModel(alphabet, weights, scheme,
                                parse_template("U00:%x[0,1]\nB\n"), "PROBLEM"))
