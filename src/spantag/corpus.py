@@ -76,9 +76,6 @@ class Sentence:
     def __len__(self):
         return len(self.tokens)
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
 
 @dataclass
 class Document:
@@ -100,13 +97,6 @@ class Document:
 
     def event_types(self) -> list[str]:
         return sorted({s.event_type for s in self.gold_spans})
-
-
-def make_token(surface: str, char_start: int, stem: str | None = None,
-               pos: str = PLACEHOLDER, chunk: str = PLACEHOLDER) -> Token:
-    if stem is None:
-        stem = porter_stem(surface)
-    return Token(surface, char_start, char_start + len(surface), stem, pos, chunk)
 
 
 def document_from_text(doc_id: str, text: str, keep_hyphens: bool = False) -> Document:

@@ -30,10 +30,11 @@ documents.  ``FeatureAlphabet.split`` reads the flat weight vector.
 step after another, so each step of forward-backward or Viterbi is a
 contiguous block of rows; ``BatchedObjective`` runs on a whole training
 corpus and ``CrfModel._decode`` on a batch of sentences, one document
-for ``tag`` and a whole test fold for cross-validation.  The per-sentence
-``Lattice``, ``forward_backward``, ``viterbi``, ``instance_lattice`` and
-``objective_and_gradient`` are the reference implementations that the
-tests compare the batched paths against.
+for ``tag`` and a whole test fold for cross-validation.  Both take a
+batch's node scores from ``instance_lattice``, and ``_decode`` finds
+each sentence's best path with ``viterbi``.  The per-sentence reference
+implementations that the tests compare this code against live in
+``tests/oracle.py``.
 """
 
 import math
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import optim
 from .corpus import _TYPE_RE, Document, encode_document
-from .errors import ConfigError, NumericError, ParseError
+from .errors import ConfigError, NumericError, ParseError, check_count
 from .features import FeatureTemplate, expand_sentence, feature_table, parse_template
 from .schemes import Scheme, get_scheme
 
@@ -62,107 +63,12 @@ class TrainerConfig:
     lbfgs_memory: int = 10
 
     def __post_init__(self):
-        for name in ("C", "eta", "max_iterations", "lbfgs_memory"):
+        check_count("max_iterations", self.max_iterations, 1)
+        check_count("lbfgs_memory", self.lbfgs_memory, 1)
+        for name in ("C", "eta"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite")
-
-
-# --- lattice inference --------------------------------------------------
-
-@dataclass
-class Lattice:
-    """Log-space scores: node (n, L); edge (n-1, L, L) or None."""
-    node: np.ndarray
-    edge: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.node = np.asarray(self.node, dtype=float)
-        if self.edge is not None:
-            self.edge = np.asarray(self.edge, dtype=float)
-            n, L = self.node.shape
-            if self.edge.shape != (max(n - 1, 0), L, L):
-                raise ValueError("edge/node shape mismatch")
-
-
-def _logsumexp(a, axis):
-    hi = a.max(axis=axis, keepdims=True)
-    e = a - hi
-    np.exp(e, out=e)
-    return hi.squeeze(axis) + np.log(e.sum(axis=axis))
-
-
-def forward_backward(lat: Lattice):
-    """(logZ, node marginals (n,L), edge marginals (n-1,L,L) or None).
-
-    Forward and backward partition functions agree to tight tolerance;
-    the forward value is returned.
-    """
-    node, edge = lat.node, lat.edge
-    n, L = node.shape
-    if n == 0:
-        return 0.0, np.zeros((0, L)), (None if edge is None
-                                       else np.zeros((0, L, L)))
-    alpha = np.empty((n, L))
-    beta = np.empty((n, L))
-    alpha[0] = node[0]
-    for t in range(1, n):
-        if edge is None:
-            alpha[t] = node[t] + _logsumexp(alpha[t - 1], axis=0)
-        else:
-            alpha[t] = node[t] + _logsumexp(
-                alpha[t - 1][:, None] + edge[t - 1], axis=0)
-    beta[n - 1] = 0.0
-    for t in range(n - 2, -1, -1):
-        nb = node[t + 1] + beta[t + 1]
-        if edge is None:
-            beta[t] = _logsumexp(nb, axis=0)
-        else:
-            beta[t] = _logsumexp(edge[t] + nb[None, :], axis=1)
-    log_z = float(_logsumexp(alpha[n - 1], axis=0))
-    log_z_backward = float(_logsumexp(node[0] + beta[0], axis=0))
-    if not np.isfinite(log_z) or abs(log_z - log_z_backward) > 1e-6 * max(
-            1.0, abs(log_z)):
-        raise NumericError(
-            f"forward/backward disagree: {log_z} vs {log_z_backward}")
-    marginals = np.exp(alpha + beta - log_z)
-    edge_marginals = None
-    if edge is not None:
-        edge_marginals = np.exp(
-            alpha[:-1, :, None] + edge
-            + (node[1:] + beta[1:])[:, None, :] - log_z)
-    return log_z, marginals, edge_marginals
-
-
-def viterbi(lat: Lattice) -> list[int]:
-    """Maximum-score label indices; ties resolved to the lowest index."""
-    node, edge = lat.node, lat.edge
-    n, L = node.shape
-    if n == 0:
-        return []
-    delta = node[0].copy()
-    back = np.zeros((n, L), dtype=np.intp)
-    for t in range(1, n):
-        if edge is None:
-            prev = delta[:, None] + np.zeros((L, L))
-        else:
-            prev = delta[:, None] + edge[t - 1]
-        back[t] = np.argmax(prev, axis=0)  # first max = lowest index
-        delta = node[t] + np.max(prev, axis=0)
-    path = [int(np.argmax(delta))]
-    for t in range(n - 1, 0, -1):
-        path.append(int(back[t][path[-1]]))
-    path.reverse()
-    return path
-
-
-def sequence_score(lat: Lattice, labels: list[int]) -> float:
-    node, edge = lat.node, lat.edge
-    score = float(sum(node[t, y] for t, y in enumerate(labels)))
-    if edge is not None:
-        score += float(sum(edge[t - 1, labels[t - 1], labels[t]]
-                           for t in range(1, len(labels))))
-    return score
 
 
 # --- feature alphabet ----------------------------------------------------
@@ -207,9 +113,6 @@ class FeatureAlphabet:
     def dim(self) -> int:
         L = self.n_labels
         return self.n_features * L + (L * L if self.transitions else 0)
-
-    def feature_strings(self) -> list[str]:
-        return list(self.feat_index)  # ids follow insertion order
 
     def split(self, vector: np.ndarray):
         """Views of a weight-layout vector: node (n_features, n_labels),
@@ -314,7 +217,7 @@ def build_alphabet(docs: list[Document],
                          lengths, list(docs), template)
 
 
-# --- gold labels, and sentences for the reference objective ---------------
+# --- gold labels -----------------------------------------------------------
 
 def make_instances(docs: list[Document], scheme: Scheme,
                    event_type: str) -> np.ndarray:
@@ -324,59 +227,6 @@ def make_instances(docs: list[Document], scheme: Scheme,
     return np.array([label_id[lab] for doc in docs
                      for row in encode_document(doc, scheme, event_type)
                      for lab in row], dtype=np.intp)
-
-
-@dataclass
-class Instance:
-    """One sentence: per-position known-feature ids and gold label ids."""
-    feats: list[list[int]]
-    gold: list[int]
-
-
-# --- objective: reference (per-sentence) path, a test oracle ----------------
-
-def instance_lattice(inst: Instance, w_node, w_trans) -> Lattice:
-    n = len(inst.feats)
-    L = w_node.shape[1]
-    node = np.zeros((n, L))
-    for t, fids in enumerate(inst.feats):
-        if fids:
-            node[t] = w_node[fids].sum(axis=0)
-    edge = None
-    if w_trans is not None:
-        edge = np.broadcast_to(w_trans, (max(n - 1, 0), L, L))
-    return Lattice(node, edge)
-
-
-def objective_and_gradient(weights: np.ndarray, instances: list[Instance],
-                           alphabet: FeatureAlphabet, C: float):
-    """Regularized negative log-likelihood and its gradient.
-
-    Straightforward sentence-at-a-time evaluation; the trainer uses the
-    batched equivalent, which must produce the same values.
-    """
-    w_node, w_trans = alphabet.split(weights)
-    value = 0.0
-    grad = np.zeros_like(weights)
-    g_node, g_trans = alphabet.split(grad)
-    for inst in instances:
-        lat = instance_lattice(inst, w_node, w_trans)
-        log_z, marginals, edge_marginals = forward_backward(lat)
-        value += log_z - sequence_score(lat, inst.gold)
-        for t, fids in enumerate(inst.feats):
-            if not fids:
-                continue
-            g_node[fids] += marginals[t]
-            g_node[fids, inst.gold[t]] -= 1.0
-        if g_trans is not None and len(inst.gold) > 1:
-            g_trans += edge_marginals.sum(axis=0)
-            for t in range(1, len(inst.gold)):
-                g_trans[inst.gold[t - 1], inst.gold[t]] -= 1.0
-    value += float(np.dot(weights, weights)) / (2.0 * C)
-    grad += weights / C
-    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-        raise NumericError("non-finite objective evaluation")
-    return value, grad
 
 
 # --- time-major lattice layout (training and decoding) ---------------------
@@ -421,12 +271,14 @@ class TimeMajor:
 _GATHER_POSITIONS = 512  # per gather; keeps its temporary cache-sized
 
 
-def _node_scores(w_node: np.ndarray, ids: np.ndarray,
-                 unseen: bool = False) -> np.ndarray:
-    """Summed weight rows of each position's feature ids; row p of the
-    (positions, rules) matrix ``ids`` holds the ids of position p.  With
-    ``unseen``, an id of -1 marks a feature unseen in training, which
-    scores zero."""
+def instance_lattice(w_node: np.ndarray, ids: np.ndarray,
+                     unseen: bool = False) -> np.ndarray:
+    """Node scores of a batch of instances' lattices: the summed weight
+    rows of each position's feature ids, where row p of the (positions,
+    rules) matrix ``ids`` holds the ids of position p.  With ``unseen``,
+    an id of -1 marks a feature unseen in training, which scores zero.
+    Every edge of every lattice holds the same transition weights, so
+    none is built."""
     n, n_rules = ids.shape
     node = np.zeros((n, w_node.shape[1]))
     if not (n_rules and len(w_node)):  # no rules, or no feature weights
@@ -442,13 +294,14 @@ def _node_scores(w_node: np.ndarray, ids: np.ndarray,
     return node
 
 
-def batch_viterbi(node: np.ndarray, lengths: np.ndarray, w_trans) -> np.ndarray:
+def viterbi(node: np.ndarray, lengths: np.ndarray, w_trans) -> np.ndarray:
     """Best label of every position of a batch of sentences.
 
     ``node`` stacks the (n, L) node scores of the sentences in order, and
-    ``lengths`` gives their token counts.  Each sentence gets the path
-    ``viterbi`` finds on its own lattice (ties resolved to the lowest
-    index), with ``w_trans`` (or nothing) on every edge.
+    ``lengths`` gives their token counts.  Each sentence gets its own
+    maximum-score path (ties resolved to the lowest index), with
+    ``w_trans`` (or nothing) on every edge: the path the per-sentence
+    reference in ``tests/oracle.py`` finds on that sentence's lattice.
     """
     tm = TimeMajor(lengths)
     node = node[tm.rows]
@@ -480,8 +333,8 @@ def batch_viterbi(node: np.ndarray, lengths: np.ndarray, w_trans) -> np.ndarray:
 # --- objective: batched path (used by train) -------------------------------
 
 # R: the widest transition-weight range (max - min, in nats) for which the
-# scaled forward-backward matches log-space ``forward_backward`` to double
-# precision.
+# scaled forward-backward matches the log-space ``forward_backward`` of
+# ``tests/oracle.py`` to double precision.
 # With T = exp(w_trans - max) every entry of T lies in [e^-R, 1], and each
 # node row is exponentiated after subtracting its maximum, so it holds a 1.
 # Every scaled alpha row sums to 1, so its largest entry is at least 1/L,
@@ -556,7 +409,8 @@ class BatchedObjective:
         w_node, w_trans = self.alphabet.split(weights)
         if w_trans is not None and np.ptp(w_trans) > _SCALED_RANGE:
             return math.inf, None  # outside the domain: a rejected trial
-        log_z, backward = self._scaled(_node_scores(w_node, self.ids), w_trans)
+        log_z, backward = self._scaled(instance_lattice(w_node, self.ids),
+                                       w_trans)
         value = log_z - float(np.dot(weights, self.empirical))
         value += float(np.dot(weights, weights)) / (2.0 * self.C)
         if not np.isfinite(value):
@@ -660,8 +514,8 @@ class CrfModel:
         rules) feature ids and token counts; an id of -1 marks a feature
         unseen in training, which scores zero."""
         w_node, w_trans = self.alphabet.split(self.weights)
-        path = batch_viterbi(_node_scores(w_node, ids, unseen=True), lengths,
-                             w_trans)
+        path = viterbi(instance_lattice(w_node, ids, unseen=True), lengths,
+                       w_trans)
         labels = np.array(self.alphabet.labels, dtype=object)[path].tolist()
         ends = np.cumsum(lengths).tolist()
         return [labels[end - n:end] for n, end in zip(lengths.tolist(), ends)]

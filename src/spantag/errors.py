@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the check that a
+count setting is an integer in range."""
+
+from numbers import Integral
 
 
 class SpantagError(Exception):
@@ -31,6 +34,15 @@ class SchemeValidityError(SpantagError):
 
 class ConfigError(SpantagError):
     """Invalid configuration or flag combination."""
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise ``ConfigError`` unless ``value`` is an integer of at least
+    ``minimum``; a bool or a float of integral value is not a count."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 class TrainingError(SpantagError):

@@ -63,9 +63,6 @@ class SplitMix64:
             if r < limit:
                 return r % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):

@@ -136,9 +136,6 @@ class Scheme:
         prev = labels[i - 1] if i else "start"
         return SchemeValidityError(i, f"{got} follows {prev}")
 
-    def is_valid(self, labels: list[str]) -> bool:
-        return self.repair(labels) == list(labels)
-
     def repair(self, labels: list[str]) -> list[str]:
         """Total fixer: lenient segmentation re-encoded in this scheme.
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from . import crf
 from .corpus import Document
-from .errors import ConfigError, NumericError, ParseError
+from .errors import ConfigError, NumericError, ParseError, check_count
 from .evaluation import f1_scores
 from .features import FeatureTemplate
 from .postprocess import ExpanderConfig, pipeline_spans
@@ -182,10 +182,8 @@ class CvConfig:
     event_types: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ConfigError("folds must be >= 2")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
+        check_count("folds", self.folds, 2)
+        check_count("repeats", self.repeats, 1)
         unknown = [m for m in self.models if m not in MODEL_CONFIGS]
         if unknown:
             raise ConfigError(f"unknown model configurations: {unknown}")
@@ -342,8 +340,7 @@ def crossval(docs: list[Document], cv: CvConfig,
     follows corpus order so results are bit-reproducible regardless of
     ``jobs``.  The corpus is encoded once and shared by every task.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    check_count("jobs", jobs, 1)
     if template is None:
         from .features import default_template
         template = default_template(transitions=True)

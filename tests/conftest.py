@@ -2,7 +2,20 @@
 
 import pytest
 
-from spantag.corpus import Document, Sentence, Span, make_token
+from spantag.corpus import PLACEHOLDER, Document, Sentence, Span, Token
+from spantag.textprep import porter_stem
+
+
+def make_token(surface, char_start, stem=None, pos=PLACEHOLDER,
+               chunk=PLACEHOLDER):
+    if stem is None:
+        stem = porter_stem(surface)
+    return Token(surface, char_start, char_start + len(surface), stem, pos, chunk)
+
+
+def is_valid(scheme, labels):
+    """Whether ``labels`` follows ``scheme``'s grammar: repair leaves it be."""
+    return scheme.repair(labels) == list(labels)
 
 
 def enumerate_span_sets(n):

@@ -1,0 +1,165 @@
+"""Per-sentence CRF inference: the reference the batched code in
+``spantag.crf`` is tested against.
+
+A ``Lattice`` holds one sentence's log-space node and edge scores;
+``forward_backward`` computes log Z and the marginals by log-space
+recursion, ``viterbi`` the best path (lowest-index tie-break), and
+``objective_and_gradient`` the regularized negative log-likelihood one
+sentence at a time.  ``crf.BatchedObjective`` and ``crf.viterbi`` must
+give the same values and paths.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from spantag.crf import FeatureAlphabet
+from spantag.errors import NumericError
+
+
+@dataclass
+class Lattice:
+    """Log-space scores: node (n, L); edge (n-1, L, L) or None."""
+    node: np.ndarray
+    edge: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.node = np.asarray(self.node, dtype=float)
+        if self.edge is not None:
+            self.edge = np.asarray(self.edge, dtype=float)
+            n, L = self.node.shape
+            if self.edge.shape != (max(n - 1, 0), L, L):
+                raise ValueError("edge/node shape mismatch")
+
+
+def _logsumexp(a, axis):
+    hi = a.max(axis=axis, keepdims=True)
+    e = a - hi
+    np.exp(e, out=e)
+    return hi.squeeze(axis) + np.log(e.sum(axis=axis))
+
+
+def forward_backward(lat: Lattice):
+    """(logZ, node marginals (n,L), edge marginals (n-1,L,L) or None).
+
+    Forward and backward partition functions agree to tight tolerance;
+    the forward value is returned.
+    """
+    node, edge = lat.node, lat.edge
+    n, L = node.shape
+    if n == 0:
+        return 0.0, np.zeros((0, L)), (None if edge is None
+                                       else np.zeros((0, L, L)))
+    alpha = np.empty((n, L))
+    beta = np.empty((n, L))
+    alpha[0] = node[0]
+    for t in range(1, n):
+        if edge is None:
+            alpha[t] = node[t] + _logsumexp(alpha[t - 1], axis=0)
+        else:
+            alpha[t] = node[t] + _logsumexp(
+                alpha[t - 1][:, None] + edge[t - 1], axis=0)
+    beta[n - 1] = 0.0
+    for t in range(n - 2, -1, -1):
+        nb = node[t + 1] + beta[t + 1]
+        if edge is None:
+            beta[t] = _logsumexp(nb, axis=0)
+        else:
+            beta[t] = _logsumexp(edge[t] + nb[None, :], axis=1)
+    log_z = float(_logsumexp(alpha[n - 1], axis=0))
+    log_z_backward = float(_logsumexp(node[0] + beta[0], axis=0))
+    if not np.isfinite(log_z) or abs(log_z - log_z_backward) > 1e-6 * max(
+            1.0, abs(log_z)):
+        raise NumericError(
+            f"forward/backward disagree: {log_z} vs {log_z_backward}")
+    marginals = np.exp(alpha + beta - log_z)
+    edge_marginals = None
+    if edge is not None:
+        edge_marginals = np.exp(
+            alpha[:-1, :, None] + edge
+            + (node[1:] + beta[1:])[:, None, :] - log_z)
+    return log_z, marginals, edge_marginals
+
+
+def viterbi(lat: Lattice) -> list[int]:
+    """Maximum-score label indices; ties resolved to the lowest index."""
+    node, edge = lat.node, lat.edge
+    n, L = node.shape
+    if n == 0:
+        return []
+    delta = node[0].copy()
+    back = np.zeros((n, L), dtype=np.intp)
+    for t in range(1, n):
+        if edge is None:
+            prev = delta[:, None] + np.zeros((L, L))
+        else:
+            prev = delta[:, None] + edge[t - 1]
+        back[t] = np.argmax(prev, axis=0)  # first max = lowest index
+        delta = node[t] + np.max(prev, axis=0)
+    path = [int(np.argmax(delta))]
+    for t in range(n - 1, 0, -1):
+        path.append(int(back[t][path[-1]]))
+    path.reverse()
+    return path
+
+
+def sequence_score(lat: Lattice, labels: list[int]) -> float:
+    node, edge = lat.node, lat.edge
+    score = float(sum(node[t, y] for t, y in enumerate(labels)))
+    if edge is not None:
+        score += float(sum(edge[t - 1, labels[t - 1], labels[t]]
+                           for t in range(1, len(labels))))
+    return score
+
+
+@dataclass
+class Instance:
+    """One sentence: per-position known-feature ids and gold label ids."""
+    feats: list[list[int]]
+    gold: list[int]
+
+
+# --- objective ------------------------------------------------------------
+
+def instance_lattice(inst: Instance, w_node, w_trans) -> Lattice:
+    n = len(inst.feats)
+    L = w_node.shape[1]
+    node = np.zeros((n, L))
+    for t, fids in enumerate(inst.feats):
+        if fids:
+            node[t] = w_node[fids].sum(axis=0)
+    edge = None
+    if w_trans is not None:
+        edge = np.broadcast_to(w_trans, (max(n - 1, 0), L, L))
+    return Lattice(node, edge)
+
+
+def objective_and_gradient(weights: np.ndarray, instances: list[Instance],
+                           alphabet: FeatureAlphabet, C: float):
+    """Regularized negative log-likelihood and its gradient.
+
+    Straightforward sentence-at-a-time evaluation; the trainer uses the
+    batched equivalent, which must produce the same values.
+    """
+    w_node, w_trans = alphabet.split(weights)
+    value = 0.0
+    grad = np.zeros_like(weights)
+    g_node, g_trans = alphabet.split(grad)
+    for inst in instances:
+        lat = instance_lattice(inst, w_node, w_trans)
+        log_z, marginals, edge_marginals = forward_backward(lat)
+        value += log_z - sequence_score(lat, inst.gold)
+        for t, fids in enumerate(inst.feats):
+            if not fids:
+                continue
+            g_node[fids] += marginals[t]
+            g_node[fids, inst.gold[t]] -= 1.0
+        if g_trans is not None and len(inst.gold) > 1:
+            g_trans += edge_marginals.sum(axis=0)
+            for t in range(1, len(inst.gold)):
+                g_trans[inst.gold[t - 1], inst.gold[t]] -= 1.0
+    value += float(np.dot(weights, weights)) / (2.0 * C)
+    grad += weights / C
+    if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+        raise NumericError("non-finite objective evaluation")
+    return value, grad

@@ -6,12 +6,15 @@ expansion is only measured if ``crf`` calls them as its own module
 globals.  This test installs that tracer on a tiny corpus and checks
 that every name resolves, that the main layers record spans, that the
 expansion counter sees every token once per pass, and that ``restore``
-puts the originals back.  The crossval-slice check counts trainings by
-replacing ``crf.train``, so crossval must still call it once per
-(fold, scheme).
+puts the originals back.  ``crf.instance_lattice`` and ``crf.viterbi``
+are the live batch node scorer and decoder: every objective call and
+every decode crosses the first, and every decode the second.  The
+crossval-slice check counts trainings by replacing ``crf.train``, so
+crossval must still call it once per (fold, scheme).
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 from spantag import crf, stats, synth
@@ -21,6 +24,15 @@ from spantag.schemes import get_scheme
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
+
+
+def spans_by_parent(tracer, name):
+    """How many spans named ``name`` each parent span name holds."""
+    parents = Counter()
+    for span_name, parent, _, _ in tracer.spans:
+        if span_name == name:
+            parents[tracer.spans[parent][0] if parent >= 0 else None] += 1
+    return parents
 
 
 def test_tracer_wraps_and_restores_the_program():
@@ -44,7 +56,12 @@ def test_tracer_wraps_and_restores_the_program():
         tracer.restore()
     names = {span[0] for span in tracer.spans}
     assert {"features.expand", "crf.alphabet", "crf.objective",
-            "crf.tag"} <= names
+            "crf.tag", "crf.lattice", "crf.viterbi"} <= names
+    parents = spans_by_parent(tracer, "crf.lattice")
+    assert parents["crf.objective"] == sum(
+        span[0] == "crf.objective" for span in tracer.spans)
+    assert parents["crf.tag"] == len(docs)
+    assert spans_by_parent(tracer, "crf.viterbi") == {"crf.tag": len(docs)}
     for owner, attr, original in wrapped:
         assert getattr(owner, attr) is original
 
@@ -72,3 +89,8 @@ def test_crossval_expands_once_and_trains_per_fold_and_scheme(monkeypatch):
     assert tracer.positions_expanded == tokens
     assert len(trainings) == 3 * cv.folds  # schemes IO, IOB, IOBW
     assert all(isinstance(t, crf.EncodedCorpus) for t in trainings)
+    # one batch decode per (fold, scheme): node scores, then Viterbi
+    decodes = len(trainings)
+    lattices = spans_by_parent(tracer, "crf.lattice")
+    assert sum(lattices.values()) - lattices["crf.objective"] == decodes
+    assert sum(spans_by_parent(tracer, "crf.viterbi").values()) == decodes

@@ -134,13 +134,14 @@ class TestColumnFileParsing:
                 "hello\nworld\n")
         [doc] = parse_column_file(text)
         assert doc.id == "doc0"
-        assert doc.sentences[0].surfaces() == ["hello", "world"]
+        assert [t.surface for t in doc.sentences[0].tokens] == ["hello", "world"]
 
     def test_blank_line_separates_sentences(self):
         text = ("#! columns = surface\n"
                 "a\n\nb\n\n\n")
         [doc] = parse_column_file(text)
-        assert [s.surfaces() for s in doc.sentences] == [["a"], ["b"]]
+        assert [[t.surface for t in s.tokens]
+                for s in doc.sentences] == [["a"], ["b"]]
 
     def test_missing_stem_column_is_recomputed(self):
         text = ("#! columns = surface pos\n"

@@ -9,30 +9,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spantag import synth
+from spantag import crf, synth
 from spantag.corpus import (Document, Sentence, Span, encode_document,
                             write_column_file)
 from spantag.crf import (
     BatchedObjective,
     CrfModel,
     FeatureAlphabet,
-    Instance,
-    Lattice,
     TrainerConfig,
-    _node_scores,
     _SCALED_RANGE,
-    batch_viterbi,
     build_alphabet,
-    forward_backward,
-    instance_lattice,
     intern,
     load_model,
     make_instances,
-    objective_and_gradient,
     save_model,
-    sequence_score,
     train,
-    viterbi,
 )
 from spantag.errors import ConfigError, ParseError
 from spantag.features import (default_template, expand_sentence,
@@ -41,6 +32,15 @@ from spantag.postprocess import pipeline_spans
 from spantag.schemes import SCHEME_NAMES, get_scheme
 
 from conftest import build_doc, build_sentence
+from oracle import (
+    Instance,
+    Lattice,
+    forward_backward,
+    instance_lattice,
+    objective_and_gradient,
+    sequence_score,
+    viterbi,
+)
 
 
 # --- enumeration oracle -----------------------------------------------------
@@ -285,7 +285,7 @@ class TestScaledForwardBackward:
 
         objective = batched(instances, alphabet, C=0.7)
         ids = np.array([f for inst in instances for f in inst.feats])
-        node = _node_scores(w_node, ids)[objective.tm.rows]
+        node = crf.instance_lattice(w_node, ids)[objective.tm.rows]
         en = np.exp(node - node.max(axis=1, keepdims=True))
         alpha, c = objective._forward(en, np.exp(w_trans - w_trans.max()))
         assert np.all(c >= np.finfo(float).tiny)  # no scale 0 or subnormal
@@ -425,7 +425,7 @@ class TestInstances:
         # a repeat keeps its first id; ids run 0..n-1 by first occurrence
         assert ids.tolist() == [0, 1, 0, 2, 1, 0]
         assert alphabet.feat_index == {"b": 0, "a": 1, "c": 2}
-        assert alphabet.feature_strings() == ["b", "a", "c"]
+        assert list(alphabet.feat_index) == ["b", "a", "c"]
         assert alphabet.dim == 6
         # looking up an unseen string, or tagging one, never grows a
         # trained or loaded alphabet
@@ -579,6 +579,8 @@ class TestTraining:
         {"C": 0.0}, {"C": -1.0}, {"eta": 0.0},
         {"max_iterations": 0}, {"lbfgs_memory": 0},
         {"C": math.nan}, {"C": math.inf}, {"eta": math.nan}, {"eta": math.inf},
+        {"max_iterations": 2.5}, {"lbfgs_memory": 1.5},
+        {"max_iterations": 10.0}, {"lbfgs_memory": True},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -611,8 +613,8 @@ class TestModelFile:
         assert np.array_equal(clone.weights, model.weights)
         assert clone.scheme.name == model.scheme.name
         assert clone.event_type == model.event_type
-        assert clone.alphabet.feature_strings() == \
-            model.alphabet.feature_strings()
+        assert list(clone.alphabet.feat_index) == \
+            list(model.alphabet.feat_index)
         for doc in docs:
             assert clone.tag(doc) == model.tag(doc)
 
@@ -655,7 +657,7 @@ class TestModelFile:
         text = save_model(CrfModel(alphabet, weights, scheme, template, "TEST"))
         clone = load_model(text)
         assert clone.weights.tobytes() == weights.tobytes()  # -0.0 included
-        assert clone.alphabet.feature_strings() == features
+        assert list(clone.alphabet.feat_index) == features
         assert save_model(clone) == text
 
     def test_rejects_unknown_format(self):
@@ -851,7 +853,7 @@ class TestBatchViterbi:
                 ([0, 1], rng.integers(0, 6, size=int(rng.integers(0, 6))))))
             node = draw((int(lengths.sum()), n_labels))
             w_trans = draw((n_labels, n_labels)) if with_edges else None
-            got = batch_viterbi(node, lengths, w_trans)
+            got = crf.viterbi(node, lengths, w_trans)
             assert got.shape == (lengths.sum(),)
             at = 0
             for n in lengths:
@@ -865,7 +867,7 @@ class TestBatchViterbi:
                 at += n
 
     def test_no_positions(self):
-        assert batch_viterbi(np.zeros((0, 3)), np.array([0, 0]), None).size == 0
+        assert crf.viterbi(np.zeros((0, 3)), np.array([0, 0]), None).size == 0
 
 
 def oracle_tags(model, sentence):

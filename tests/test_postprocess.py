@@ -15,7 +15,7 @@ from spantag.postprocess import (
 )
 from spantag.schemes import get_scheme
 
-from conftest import build_doc, build_sentence
+from conftest import build_doc, build_sentence, is_valid
 
 
 IOB = get_scheme("IOB")
@@ -46,7 +46,7 @@ class TestAdjustLabels:
     def test_output_is_scheme_valid_even_for_stray_input(self):
         for labels in itertools.product(IOB.labels, repeat=5):
             got = adjust_labels(list(labels), IOB)
-            assert IOB.is_valid(got)
+            assert is_valid(IOB, got)
             assert adjust_labels(got, IOB) == got
 
     @pytest.mark.parametrize("scheme", [IOB, IOBW])
@@ -54,10 +54,10 @@ class TestAdjustLabels:
         for n in range(8):
             for labels in itertools.product(scheme.labels, repeat=n):
                 labels = list(labels)
-                if not scheme.is_valid(labels):
+                if not is_valid(scheme, labels):
                     continue
                 got = adjust_labels(labels, scheme)
-                assert scheme.is_valid(got)
+                assert is_valid(scheme, got)
                 assert adjust_labels(got, scheme) == got
                 assert got.count("I") >= labels.count("I")
 

@@ -93,8 +93,3 @@ class TestDistributions:
         rng = SplitMix64(11)
         assert not any(rng.bernoulli(0.0) for _ in range(100))
         assert all(rng.bernoulli(1.0) for _ in range(100))
-
-    def test_choice_draws_members(self):
-        rng = SplitMix64(12)
-        pool = ["a", "b", "c"]
-        assert all(rng.choice(pool) in pool for _ in range(50))

@@ -8,7 +8,7 @@ import pytest
 from spantag.errors import RepresentabilityError, SchemeValidityError
 from spantag.schemes import SCHEMES, get_scheme
 
-from conftest import enumerate_span_sets
+from conftest import enumerate_span_sets, is_valid
 
 IO = get_scheme("IO")
 IOB = get_scheme("IOB")
@@ -110,10 +110,10 @@ class TestDecodeStrict:
             IO.decode(["O", "B"])
 
     def test_is_valid_mirrors_decode(self):
-        assert IOBW.is_valid(["O", "W", "O"])
-        assert not IOBW.is_valid(["O", "B", "O"])
-        assert IOBEW.is_valid(["B", "E"])
-        assert not IOBEW.is_valid(["E"])
+        assert is_valid(IOBW, ["O", "W", "O"])
+        assert not is_valid(IOBW, ["O", "B", "O"])
+        assert is_valid(IOBEW, ["B", "E"])
+        assert not is_valid(IOBEW, ["E"])
 
 
 class TestRoundTrip:
@@ -168,7 +168,7 @@ class TestRepair:
             for n in range(1, 6):
                 for labels in itertools.product(scheme.labels, repeat=n):
                     fixed = scheme.repair(list(labels))
-                    assert scheme.is_valid(fixed)
+                    assert is_valid(scheme, fixed)
                     assert scheme.repair(fixed) == fixed
 
 

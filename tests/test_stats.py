@@ -307,6 +307,10 @@ class TestCvConfig:
             CvConfig(models=("IO", "BILOU"), event_types=("PROBLEM",))
         with pytest.raises(ConfigError):
             CvConfig(event_types=())
+        for kwargs in ({"folds": 2.5}, {"repeats": 1.5}, {"folds": 3.0},
+                       {"repeats": True}):
+            with pytest.raises(ConfigError):
+                CvConfig(event_types=("PROBLEM",), **kwargs)
 
 
 TWO_TYPES = synth.SynthProfile(
@@ -424,6 +428,12 @@ class TestCrossval:
         cv = CvConfig(repeats=1, folds=5, event_types=("PROBLEM",))
         with pytest.raises(ConfigError):
             crossval(tiny_corpus(3), cv, FAST_TRAINER)
+
+    @pytest.mark.parametrize("jobs", [0, 1.5, 2.0, True])
+    def test_bad_worker_count_rejected(self, jobs):
+        cv = CvConfig(repeats=1, folds=2, event_types=("PROBLEM",))
+        with pytest.raises(ConfigError, match="jobs must be"):
+            crossval(tiny_corpus(), cv, FAST_TRAINER, jobs=jobs)
 
 
 class TestExperimentReport:
