@@ -71,6 +71,16 @@ def _parse_list(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
 
+def _parse_types(value: str) -> tuple[str, ...]:
+    types = _parse_list(value)
+    if not types:
+        raise ConfigError("event_types must be non-empty")
+    for event_type in types:
+        if not corpus._TYPE_RE.match(event_type):
+            raise ConfigError(f"bad event type {event_type!r}")
+    return types
+
+
 def _load_corpus(path: str) -> list[corpus.Document]:
     return corpus.parse_column_file(_read_text(path, "corpus"))
 
@@ -98,8 +108,7 @@ def cmd_tag(args) -> int:
     expander = _load_expander(args)
     docs = _load_corpus(args.input)
     tagged = []
-    for doc in docs:
-        rows = model.tag(doc)
+    for doc, rows in zip(docs, model.tag_documents(docs)):
         spans = pipeline_spans(rows, doc, model.scheme, model.event_type,
                                mode=args.post, config=expander)
         tagged.append(corpus.Document(doc.id, doc.sentences, spans))
@@ -111,7 +120,7 @@ def cmd_tag(args) -> int:
 def cmd_eval(args) -> int:
     gold = {d.id: d.gold_spans for d in _load_corpus(args.gold)}
     system = {d.id: d.gold_spans for d in _load_corpus(args.system)}
-    types = list(_parse_list(args.types)) if args.types else None
+    types = list(_parse_types(args.types)) if args.types else None
     report = evaluation.evaluate(gold, system, event_types=types)
     print(report.tsv() if args.tsv else report.text(), end="")
     return 0

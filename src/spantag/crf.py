@@ -29,8 +29,10 @@ documents.  ``FeatureAlphabet.split`` reads the flat weight vector.
 ``TimeMajor`` is the one row order: longest sentence first, one time
 step after another, so each step of forward-backward or Viterbi is a
 contiguous block of rows; ``BatchedObjective`` runs on a whole training
-corpus and ``CrfModel._decode`` on a batch of sentences, one document
-for ``tag`` and a whole test fold for cross-validation.  Both take a
+corpus and ``CrfModel._decode`` on a batch of sentences: for ``tag``,
+those of a group of documents (``tag_documents`` groups consecutive
+documents), and for cross-validation a whole test fold;
+``by_document`` splits a batch's rows back per document.  Both take a
 batch's node scores from ``instance_lattice``, and ``_decode`` finds
 each sentence's best path with ``viterbi``.  The per-sentence reference
 implementations that the tests compare this code against live in
@@ -184,11 +186,12 @@ class EncodedCorpus:
         return (part(train_ids, ~test_sentence, False),
                 part(self.ids[test_row], test_sentence, True))
 
-    def by_document(self, rows: list) -> list[list]:
-        """Per-sentence ``rows`` of this corpus, grouped by document."""
-        ends = np.cumsum([len(d.sentences) for d in self.docs]).tolist()
-        return [rows[end - len(d.sentences):end]
-                for d, end in zip(self.docs, ends)]
+
+def by_document(rows: list, docs: list[Document]) -> list[list]:
+    """Per-sentence ``rows`` of the sentences of ``docs``, in order,
+    grouped by document."""
+    ends = np.cumsum([len(d.sentences) for d in docs]).tolist()
+    return [rows[end - len(d.sentences):end] for d, end in zip(docs, ends)]
 
 
 def _expand(template: FeatureTemplate, sentences):
@@ -269,6 +272,9 @@ class TimeMajor:
 
 
 _GATHER_POSITIONS = 512  # per gather; keeps its temporary cache-sized
+# tokens that close a ``CrfModel.tag_documents`` group: one Viterbi per
+# group, and only one group's id matrix and label rows alive at a time
+_TAG_POSITIONS = 2048
 
 
 def instance_lattice(w_node: np.ndarray, ids: np.ndarray,
@@ -527,6 +533,21 @@ class CrfModel:
         ids = np.fromiter(map(get, strings, repeat(-1)), np.intp)
         return self._decode(
             ids.reshape(lengths.sum(), len(self.template.rules)), lengths)
+
+    def tag_documents(self, docs: list[Document]):
+        """Label rows of each of ``docs``, in order.  Consecutive documents
+        are tagged as one batch, a group that closes once it holds
+        ``_TAG_POSITIONS`` tokens, so only one group's rows are alive at
+        a time."""
+        group, size = [], 0
+        for i, doc in enumerate(docs, 1):
+            group.append(doc)
+            size += sum(map(len, doc.sentences))
+            if size >= _TAG_POSITIONS or i == len(docs):
+                rows = self.tag(Document("", [s for d in group
+                                              for s in d.sentences]))
+                yield from by_document(rows, group)
+                group, size = [], 0
 
 
 def train(docs: list[Document] | EncodedCorpus, template: FeatureTemplate,

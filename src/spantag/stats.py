@@ -187,8 +187,15 @@ class CvConfig:
         unknown = [m for m in self.models if m not in MODEL_CONFIGS]
         if unknown:
             raise ConfigError(f"unknown model configurations: {unknown}")
+        if not self.models:
+            raise ConfigError("models must be non-empty")
         if not self.event_types:
             raise ConfigError("event_types must be non-empty")
+        for name in ("models", "event_types"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"repeated {name}: {repeated}")
 
 
 @dataclass
@@ -304,7 +311,8 @@ def _run_fold(encoded: crf.EncodedCorpus, models: tuple[str, ...],
             model = crf.train(train_part, template, get_scheme(scheme_name),
                               event_type, trainer)
             rows = model._decode(test_part.ids, test_part.lengths)
-            tagged[scheme_name] = (model, test_part.by_document(rows))
+            tagged[scheme_name] = (model,
+                                   crf.by_document(rows, test_part.docs))
         model, rows = tagged[scheme_name]
         system = {doc.id: pipeline_spans(doc_rows, doc, model.scheme,
                                          event_type, mode, expander)

@@ -10,14 +10,16 @@ puts the originals back.  ``crf.instance_lattice`` and ``crf.viterbi``
 are the live batch node scorer and decoder: every objective call and
 every decode crosses the first, and every decode the second.  The
 crossval-slice check counts trainings by replacing ``crf.train``, so
-crossval must still call it once per (fold, scheme).
+crossval must still call it once per (fold, scheme).  ``cli tag``
+decodes groups of documents, each through ``CrfModel.tag``, so the
+tracer's ``crf.tag`` span and token counter cover every decode.
 """
 
 import sys
 from collections import Counter
 from pathlib import Path
 
-from spantag import crf, stats, synth
+from spantag import cli, corpus, crf, stats, synth
 from spantag.crf import TrainerConfig
 from spantag.features import default_template
 from spantag.schemes import get_scheme
@@ -94,3 +96,30 @@ def test_crossval_expands_once_and_trains_per_fold_and_scheme(monkeypatch):
     lattices = spans_by_parent(tracer, "crf.lattice")
     assert sum(lattices.values()) - lattices["crf.objective"] == decodes
     assert sum(spans_by_parent(tracer, "crf.viterbi").values()) == decodes
+
+
+def test_cli_tag_decodes_groups_of_documents_through_tag(tmp_path,
+                                                         monkeypatch):
+    docs = synth.generate(synth.default_profile(), 13, 8)
+    tokens = sum(len(s.tokens) for d in docs for s in d.sentences)
+    given, model_path = tmp_path / "given.tsv", tmp_path / "model.txt"
+    given.write_text(corpus.write_column_file(docs, get_scheme("IOBW")),
+                     encoding="utf-8")
+    model = crf.train(docs, default_template(True), get_scheme("IOBW"),
+                      "PROBLEM", TrainerConfig(max_iterations=5))
+    model_path.write_text(crf.save_model(model), encoding="utf-8")
+    monkeypatch.setattr(crf, "_TAG_POSITIONS", 60)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["tag", "--model", str(model_path), "--input",
+                       str(given), "--output", str(tmp_path / "tagged.tsv"),
+                       "--post", "iobw+"])
+    finally:
+        tracer.restore()
+    assert rc == 0
+    tags = sum(span[0] == "crf.tag" for span in tracer.spans)
+    assert 1 < tags < len(docs)
+    assert tracer.tagged_tokens == tokens
+    assert spans_by_parent(tracer, "crf.lattice") == {"crf.tag": tags}
+    assert spans_by_parent(tracer, "crf.viterbi") == {"crf.tag": tags}

@@ -10,6 +10,8 @@ import pytest
 import spantag
 from spantag import corpus, crf, stats, synth
 from spantag.cli import main
+from spantag.postprocess import ExpanderConfig, pipeline_spans
+from spantag.schemes import get_scheme
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,24 @@ def matrix_file(workdir, corpus_file):
                "--matrix", str(path)])
     assert rc == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def iobw_model_file(workdir, corpus_file):
+    path = workdir / "alpha_iobw_shared.model"
+    rc = main(["train", "--input", str(corpus_file), "--model", str(path),
+               "--type", "ALPHA", "--scheme", "IOBW", "--max-iter", "60"])
+    assert rc == 0
+    return path
+
+
+def tag_per_document(model, docs, post):
+    """The tagged column file that ``tag`` writes, with one ``model.tag``
+    call per document."""
+    tagged = [corpus.Document(d.id, d.sentences, pipeline_spans(
+        model.tag(d), d, model.scheme, model.event_type, mode=post,
+        config=ExpanderConfig())) for d in docs]
+    return corpus.write_column_file(tagged, model.scheme, [model.event_type])
 
 
 def run_cli(*argv):
@@ -310,6 +330,30 @@ class TestTagCommand:
         assert "Traceback" not in proc.stderr
         assert "line 2: duplicate key 'noun_pos_tags'" in proc.stderr
 
+    @pytest.mark.parametrize("positions", [1, 45, 10 ** 6])
+    @pytest.mark.parametrize("post", ["none", "iobw+"])
+    def test_batches_match_per_document_tagging(self, workdir, corpus_file,
+                                                iobw_model_file, monkeypatch,
+                                                positions, post):
+        docs = corpus.parse_column_file(corpus_file.read_text("utf-8"))
+        sizes = [sum(map(len, d.sentences)) for d in docs]
+        assert max(sizes) > 45 > min(sizes)  # a document outgrows a group
+        # documents with no sentences: "#! doc = a" then "#! doc = b"
+        docs[3:3] = [corpus.Document("a", []), corpus.Document("b", [])]
+        docs.append(corpus.Document("last", []))
+        given = workdir / "with_empty_docs.tsv"
+        given.write_text(corpus.write_column_file(docs, get_scheme("IOB")),
+                         encoding="utf-8")
+        assert "#! doc = a\n#! doc = b\n" in given.read_text("utf-8")
+        model = crf.load_model(iobw_model_file.read_text("utf-8"))
+        out = workdir / f"batched_{positions}_{post}.tsv"
+        monkeypatch.setattr(crf, "_TAG_POSITIONS", positions)
+        assert main(["tag", "--model", str(iobw_model_file), "--input",
+                     str(given), "--post", post, "--output", str(out)]) == 0
+        assert out.read_bytes() == tag_per_document(
+            model, corpus.parse_column_file(given.read_text("utf-8")),
+            post).encode("utf-8")
+
     def test_missing_model_file(self, workdir, corpus_file, capsys):
         rc = main(["tag", "--model", str(workdir / "void.model"),
                    "--input", str(corpus_file)])
@@ -360,6 +404,29 @@ class TestEvalCommand:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("types, message", [
+        ("a b", "bad event type 'a b'"),
+        (",", "event_types must be non-empty")])
+    def test_bad_type_list_is_a_config_error(self, corpus_file, tagged_file,
+                                             capsys, types, message):
+        rc = main(["eval", "--gold", str(corpus_file),
+                   "--system", str(tagged_file), "--types", types])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_type_without_spans_reports_zeros(self, corpus_file, tagged_file,
+                                              capsys):
+        rc = main(["eval", "--gold", str(corpus_file),
+                   "--system", str(tagged_file), "--types", "NOPE", "--tsv"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[:2] for line in lines] == [
+            ["NOPE", "strict"], ["NOPE", "lenient"],
+            ["micro", "strict"], ["micro", "lenient"]]
+        assert all(float(c) == 0.0 for line in lines
+                   for c in line.split("\t")[2:])
 
     def test_repeated_gold_document_id_is_a_data_error(self, workdir,
                                                        capsys):
@@ -436,6 +503,20 @@ class TestCrossvalAndStats:
         assert "Traceback" not in proc.stderr
         assert "line 6" in proc.stderr and "(B, Y)" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("models, types, message", [
+        ("IO,IO", "ALPHA", "repeated models: ['IO']"),
+        ("IO", "ALPHA,ALPHA", "repeated event_types: ['ALPHA']"),
+        (",", "ALPHA", "models must be non-empty")])
+    def test_empty_or_repeated_list_is_a_config_error(
+            self, workdir, corpus_file, capsys, models, types, message):
+        matrix = workdir / "never_written.tsv"
+        rc = main(["crossval", "--input", str(corpus_file),
+                   "--repeats", "1", "--folds", "2", "--models", models,
+                   "--types", types, "--matrix", str(matrix)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not matrix.exists()
 
     def test_unknown_model_name(self, corpus_file, capsys):
         rc = main(["crossval", "--input", str(corpus_file),

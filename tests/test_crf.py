@@ -19,6 +19,7 @@ from spantag.crf import (
     TrainerConfig,
     _SCALED_RANGE,
     build_alphabet,
+    by_document,
     intern,
     load_model,
     make_instances,
@@ -499,7 +500,7 @@ class TestFoldEncoding:
                       config)
         assert save_model(shared) == save_model(model)
         rows = shared._decode(test_part.ids, test_part.lengths)
-        assert test_part.by_document(rows) == [model.tag(d) for d in test_docs]
+        assert by_document(rows, test_docs) == [model.tag(d) for d in test_docs]
 
     def test_training_rejects_an_encoding_of_another_template(self):
         docs = separable_docs(2)

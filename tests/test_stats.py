@@ -307,6 +307,11 @@ class TestCvConfig:
             CvConfig(models=("IO", "BILOU"), event_types=("PROBLEM",))
         with pytest.raises(ConfigError):
             CvConfig(event_types=())
+        for kwargs in ({"models": ()}, {"models": ("IO", "IOB", "IO")},
+                       {"event_types": ("PROBLEM", "PROBLEM")},
+                       {"event_types": ("PROBLEM", "TEST", "PROBLEM")}):
+            with pytest.raises(ConfigError):
+                CvConfig(**{"event_types": ("PROBLEM",), **kwargs})
         for kwargs in ({"folds": 2.5}, {"repeats": 1.5}, {"folds": 3.0},
                        {"repeats": True}):
             with pytest.raises(ConfigError):
