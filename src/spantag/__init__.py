@@ -16,8 +16,8 @@ from .errors import (ConfigError, NumericError, ParseError,
                      RepresentabilityError, SchemeValidityError, SpantagError,
                      TrainingError)
 from .evaluation import EvalReport, MatchCounts, evaluate, match_spans
-from .features import (FeatureTemplate, default_template, expand,
-                       feature_table, parse_template)
+from .features import (FeatureTemplate, default_template, feature_table,
+                       parse_template)
 from .postprocess import (ExpanderConfig, adjust_labels, expand_boundaries,
                           pipeline_spans)
 from .schemes import SCHEME_NAMES, Scheme, get_scheme
@@ -35,7 +35,7 @@ __all__ = [
     "SpantagError", "StatResult", "SynthProfile", "Token", "TrainerConfig",
     "TrainingError", "adjust_labels", "anova_oneway", "compute_profile",
     "crossval", "decode_document", "default_profile", "default_template",
-    "document_from_text", "encode_document", "evaluate", "expand",
+    "document_from_text", "encode_document", "evaluate",
     "expand_boundaries", "experiment_report", "feature_table", "generate",
     "get_scheme", "load_model", "match_spans", "parse_column_file",
     "parse_matrix", "parse_profile", "parse_standoff", "parse_template",

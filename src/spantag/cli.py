@@ -76,7 +76,7 @@ def _parse_types(value: str) -> tuple[str, ...]:
     if not types:
         raise ConfigError("event_types must be non-empty")
     for event_type in types:
-        if not corpus._TYPE_RE.match(event_type):
+        if not corpus._TYPE_RE.fullmatch(event_type):
             raise ConfigError(f"bad event type {event_type!r}")
     return types
 

@@ -32,7 +32,7 @@ PLACEHOLDER = "_NIL_"
 
 EVENT_TYPES = ("PROBLEM", "TEST", "TREATMENT", "OCCURRENCE", "EVIDENTIAL")
 
-_TYPE_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_TYPE_RE = re.compile(r"[A-Za-z0-9_]+")  # whole names: fullmatch
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +65,7 @@ class Span:
             raise ValueError(f"negative sentence index {self.sentence_index}")
         if not (0 <= self.start < self.end):
             raise ValueError(f"bad span [{self.start},{self.end})")
-        if not _TYPE_RE.match(self.event_type):
+        if not _TYPE_RE.fullmatch(self.event_type):
             raise ValueError(f"bad event type {self.event_type!r}")
 
 
@@ -165,7 +165,7 @@ def _parse_columns_decl(value: str, line_no: int) -> _ColumnSpec:
             except ValueError as exc:
                 raise ParseError(str(exc), line_no) from None
             event_type = parts[2] if len(parts) == 3 else None
-            if event_type is not None and not _TYPE_RE.match(event_type):
+            if event_type is not None and not _TYPE_RE.fullmatch(event_type):
                 raise ParseError(f"bad event type in {name!r}", line_no)
             if any(lc.event_type == event_type for lc in labels):
                 raise ParseError(f"duplicate label column {name!r}", line_no)
@@ -229,7 +229,7 @@ def _flush_sentence(spec: _ColumnSpec, rows: list[tuple[int, list[str]]],
                                  sent_index, first_line, spans)
             continue
         for i, lab in enumerate(column):
-            if lab != "O" and not _TYPE_RE.match(lab.partition("-")[2]):
+            if lab != "O" and not _TYPE_RE.fullmatch(lab.partition("-")[2]):
                 raise ParseError(
                     f"joint label {lab!r} lacks a valid type suffix",
                     first_line + i)

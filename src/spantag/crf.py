@@ -16,11 +16,15 @@ call runs the forward pass for f(w) and returns a function that runs
 the backward pass for the gradient, so a rejected line-search trial
 costs one forward pass.
 
-Each layout decision has one home.  ``_expand`` streams a batch's
-feature strings once, and mapping them to ids gives a fixed-width
-(positions, rules) id matrix: ``intern``, the one interning rule,
-numbers them by first occurrence in C, and tagging gives an unseen one
--1.  ``build_alphabet`` is the one encoder from documents to an
+Each layout decision has one home.  ``_features`` encodes a group of
+about ``_TAG_POSITIONS`` tokens through integer keys
+(``feature_table``, ``expand_sentence``): it builds each distinct
+(rule, key) pair's feature string once, in order of first occurrence,
+and maps each position to its strings, so one lookup of the distinct
+strings gives the group's fixed-width (positions, rules) id matrix.
+``intern``, the one interning rule, numbers them by first occurrence in
+C, over every group of a training corpus, and tagging gives an unseen
+one -1.  ``build_alphabet`` is the one encoder from documents to an
 ``EncodedCorpus``, which depends on neither scheme nor event type;
 ``EncodedCorpus.fold`` renumbers a subset of its documents by the same
 first-occurrence rule, so cross-validation expands a corpus once and
@@ -43,14 +47,15 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, count, repeat, zip_longest
+from itertools import count, repeat, zip_longest
 
 import numpy as np
 
 from . import optim
 from .corpus import _TYPE_RE, Document, encode_document
 from .errors import ConfigError, NumericError, ParseError, check_count
-from .features import FeatureTemplate, expand_sentence, feature_table, parse_template
+from .features import (SENTINELS, FeatureTemplate, expand_sentence,
+                       feature_table, parse_template)
 from .schemes import Scheme, get_scheme
 
 MODEL_FORMAT = "spantag-crf v1"
@@ -75,12 +80,17 @@ class TrainerConfig:
 
 # --- feature alphabet ----------------------------------------------------
 
-def intern(strings) -> tuple[dict[str, int], np.ndarray]:
+def intern(strings, index=None) -> tuple[dict[str, int], np.ndarray]:
     """(feature index, id array) of a stream of feature strings: a string
-    gets the next id at its first occurrence, in C.  Once the stream ends,
-    the index no longer grows on lookup.  The ids are int32, half the size
-    of intp, since an encoded corpus outlives its trainings."""
-    index = defaultdict(count().__next__)
+    gets the next id at its first occurrence, in C.  Given the ``index``
+    an earlier call returned, numbering goes on where it stopped, so a
+    stream can come in parts.  Once a part ends, the index no longer grows
+    on lookup.  The ids are int32, half the size of intp, since an encoded
+    corpus outlives its trainings."""
+    if index is None:
+        index = defaultdict(count().__next__)
+    else:
+        index.default_factory = count(len(index)).__next__
     ids = np.fromiter(map(index.__getitem__, strings), dtype=np.int32)
     index.default_factory = None
     return index, ids
@@ -194,30 +204,72 @@ def by_document(rows: list, docs: list[Document]) -> list[list]:
     return [rows[end - len(d.sentences):end] for d, end in zip(docs, ends)]
 
 
-def _expand(template: FeatureTemplate, sentences):
-    """Every feature string of ``sentences`` as one stream, position by
-    position and one per template rule (an empty sentence has none), and
-    every sentence's token count."""
-    strings = chain.from_iterable(chain.from_iterable(
-        expand_sentence(template, feature_table(s)) for s in sentences))
-    return strings, np.array([len(s.tokens) for s in sentences], dtype=np.intp)
+def _groups(items, size):
+    """Consecutive ``items`` in lists that close once they hold
+    ``_TAG_POSITIONS`` tokens (``size`` counts an item's), and at the end."""
+    group, tokens = [], 0
+    for item in items:
+        group.append(item)
+        tokens += size(item)
+        if tokens >= _TAG_POSITIONS:
+            yield group
+            group, tokens = [], 0
+    if group:
+        yield group
+
+
+def _features(template: FeatureTemplate, sentences):
+    """(strings, where) of a group of sentences: the distinct feature
+    strings in order of first occurrence, position by position and one
+    per template rule, and the (positions, rules) index of each
+    occurrence's string in them.  Positions that share a rule's key
+    (``expand_sentence``) share its string, so each distinct (rule, key)
+    builds its string once, at its first position; two keys may still
+    build one string, and then share its id when it is looked up."""
+    table = feature_table(sentences)
+    # a (rule, key) pair's slot: rule j's keys take slots j*width onwards
+    slot = expand_sentence(template, table)
+    n, n_rules = slot.shape
+    width = n + len(SENTINELS)  # every key is below it
+    slot += np.arange(0, n_rules * width, width)
+    at = np.full(n_rules * width, n, dtype=np.intp)
+    np.minimum.at(at, slot, np.arange(n)[:, None])  # first position per slot
+    seen = np.flatnonzero(at < n)  # the distinct pairs, rule by rule
+    first = at[seen]
+    # stable sorts only, here and in ``expand_sentence``: the objective's
+    # ``TimeMajor`` runs one already, and numpy's quicksort pages in about
+    # 0.3 MB more of its code, which shows in peak RSS
+    order = np.argsort(first * n_rules + seen // width, kind="stable")
+    at[seen[order]] = np.arange(len(order))  # a slot's index in the strings
+    rule_ends = np.searchsorted(seen, np.arange(1, n_rules) * width)
+    strings = [s for rule, positions in zip(template.rules,
+                                            np.split(first, rule_ends))
+               for s in table.strings(rule, positions)]
+    return list(map(strings.__getitem__, order.tolist())), at[slot]
 
 
 def build_alphabet(docs: list[Document],
                    template: FeatureTemplate) -> EncodedCorpus:
-    """Expand every sentence once, numbering the feature strings by first
-    occurrence (``intern``).  The one path from documents to feature ids
-    for training: ``train`` encodes its documents here, and
+    """Encode every sentence once, numbering the feature strings by first
+    occurrence (``intern``) over the whole corpus.  Sentences are encoded
+    in groups of about ``_TAG_POSITIONS`` tokens, each into its rows of
+    one preallocated id matrix.  The one path from documents to feature
+    ids for training: ``train`` encodes its documents here, and
     ``stats.crossval`` encodes a whole corpus once and takes its folds
     with ``EncodedCorpus.fold``."""
     if not any(doc.sentences for doc in docs):
         raise ConfigError("cannot build an alphabet from an empty corpus")
-    strings, lengths = _expand(template, [s for doc in docs
-                                          for s in doc.sentences])
-    feat_index, ids = intern(strings)
-    return EncodedCorpus(feat_index,
-                         ids.reshape(lengths.sum(), len(template.rules)),
-                         lengths, list(docs), template)
+    sentences = [s for doc in docs for s in doc.sentences]
+    lengths = np.array([len(s.tokens) for s in sentences], dtype=np.intp)
+    ids = np.empty((lengths.sum(), len(template.rules)), dtype=np.int32)
+    feat_index, at = None, 0
+    for group in _groups(sentences, len):
+        strings, where = _features(template, group)
+        feat_index, found = intern(strings, feat_index)
+        np.take(found, where, out=ids[at:at + len(where)])
+        at += len(where)
+        del strings, where  # freed before the next group: lower peak RSS
+    return EncodedCorpus(feat_index, ids, lengths, list(docs), template)
 
 
 # --- gold labels -----------------------------------------------------------
@@ -272,8 +324,10 @@ class TimeMajor:
 
 
 _GATHER_POSITIONS = 512  # per gather; keeps its temporary cache-sized
-# tokens that close a ``CrfModel.tag_documents`` group: one Viterbi per
-# group, and only one group's id matrix and label rows alive at a time
+# tokens that close a group of sentences that ``_features`` encodes
+# together (``build_alphabet``), or of documents that ``tag_documents``
+# tags together: one Viterbi per group, and only one group's id matrix
+# and label rows alive at a time
 _TAG_POSITIONS = 2048
 
 
@@ -528,26 +582,23 @@ class CrfModel:
 
     def tag(self, doc: Document) -> list[list[str]]:
         """Label rows of every sentence, decoded as one batch."""
-        strings, lengths = _expand(self.template, doc.sentences)
+        strings, where = _features(self.template, doc.sentences)
         get = self.alphabet.feat_index.get
-        ids = np.fromiter(map(get, strings, repeat(-1)), np.intp)
+        found = np.fromiter(map(get, strings, repeat(-1)), np.int32,
+                            len(strings))
         return self._decode(
-            ids.reshape(lengths.sum(), len(self.template.rules)), lengths)
+            found[where],
+            np.array([len(s.tokens) for s in doc.sentences], dtype=np.intp))
 
     def tag_documents(self, docs: list[Document]):
         """Label rows of each of ``docs``, in order.  Consecutive documents
         are tagged as one batch, a group that closes once it holds
         ``_TAG_POSITIONS`` tokens, so only one group's rows are alive at
         a time."""
-        group, size = [], 0
-        for i, doc in enumerate(docs, 1):
-            group.append(doc)
-            size += sum(map(len, doc.sentences))
-            if size >= _TAG_POSITIONS or i == len(docs):
-                rows = self.tag(Document("", [s for d in group
-                                              for s in d.sentences]))
-                yield from by_document(rows, group)
-                group, size = [], 0
+        for group in _groups(docs, lambda d: sum(map(len, d.sentences))):
+            rows = self.tag(Document("", [s for d in group
+                                          for s in d.sentences]))
+            yield from by_document(rows, group)
 
 
 def train(docs: list[Document] | EncodedCorpus, template: FeatureTemplate,
@@ -558,7 +609,7 @@ def train(docs: list[Document] | EncodedCorpus, template: FeatureTemplate,
     ``docs`` is a list of documents, or their ``EncodedCorpus`` under
     ``template``, which gives the same model without expanding them
     again."""
-    if not _TYPE_RE.match(event_type):
+    if not _TYPE_RE.fullmatch(event_type):
         raise ConfigError(f"bad event type {event_type!r}")
     encoded = (docs if isinstance(docs, EncodedCorpus)
                else build_alphabet(docs, template))
@@ -626,7 +677,7 @@ def load_model(text: str) -> CrfModel:
     except ValueError as exc:
         raise ParseError(str(exc), 2) from None
     event_type = header(3, "event_type")
-    if not _TYPE_RE.match(event_type):
+    if not _TYPE_RE.fullmatch(event_type):
         raise ParseError(f"bad event type {event_type!r}", 3)
     flag = header(4, "transitions")
     if flag not in ("true", "false"):

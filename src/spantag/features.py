@@ -1,4 +1,4 @@
-"""Feature-template DSL: parsing and per-position expansion.
+"""Feature-template DSL: parsing, and the integer keys of its features.
 
 A template file holds one unigram rule per line, `Uid:%x[row,col]` with
 multiple cells joined by "/".  "#" starts a comment, a line consisting
@@ -8,12 +8,27 @@ the current position (offsets -4..4); columns index the per-token
 feature table (1=surface, 2=stem, 3=POS, 4=chunk, 5=kind, 6=case).
 Both ranges are checked when the template is parsed, so expansion of a
 ``feature_table`` never reads past a row.
+
+A rule's feature at a position is the string "id=v1/v2/...", its cells'
+values joined, with a boundary sentinel "_B-k" / "_B+k" for a row k
+places past a sentence's edge.  The strings are not built per position:
+``feature_table`` codes a group of sentences' column values as ints, the
+sentinels first, and ``expand_sentence`` gives each rule a key per
+position from those codes, equal where the cells' values are equal.
+``FeatureTable.strings`` builds a rule's strings at chosen positions, so
+``crf`` builds one per distinct key.  The per-position string expansion
+that defines these strings is the test oracle in ``tests/oracle.py``.
 """
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
+from operator import attrgetter
 
-from .errors import ConfigError, ParseError
+import numpy as np
+
+from .errors import ParseError
 from .textprep import token_case, token_kind
 
 N_COLUMNS = 7  # index 0 unused so template column numbers apply directly
@@ -110,65 +125,105 @@ def default_template(transitions: bool = False) -> FeatureTemplate:
     return parse_template(text)
 
 
-def feature_table(sentence) -> list[tuple[str, ...]]:
-    """Per-token column rows for template expansion (column 0 unused)."""
-    return [("", t.surface, t.stem, t.pos, t.chunk,
-             token_kind(t.surface), token_case(t.surface))
-            for t in sentence.tokens]
+# the boundary sentinels of rows -4..-1 and n..n+3 of an n-token sentence,
+# codes 0..7 of every column of a ``FeatureTable``
+SENTINELS = (tuple(f"_B{r}" for r in range(-MAX_OFFSET, 0))
+             + tuple(f"_B+{k}" for k in range(1, MAX_OFFSET + 1)))
+_KEY_LIMIT = 2 ** 63  # keys are int64
 
 
-def expand(template: FeatureTemplate, table: list[tuple[str, ...]],
-           position: int) -> list[str]:
-    """Feature strings "id=v1/v2/..." for one position of one sentence.
+def _coder():
+    """A value-to-code table of one column, the sentinels coded first."""
+    index = defaultdict(count(len(SENTINELS)).__next__)
+    index.update(zip(SENTINELS, range(len(SENTINELS))))
+    return index
 
-    Rows outside the sentence contribute boundary sentinels "_B-k" /
-    "_B+k" keyed by the distance past the edge.
+
+@dataclass
+class FeatureTable:
+    """The column values of a group of sentences as int codes.
+
+    ``values[c]`` lists column c's distinct values by code (column 0 is
+    unused), the sentinels first.  ``padded[c]`` holds column c's codes of
+    every sentence framed by ``MAX_OFFSET`` sentinel codes on each side, so
+    a cell at row offset r of position p is ``padded[c, rows[p] + r]``,
+    a sentinel past a sentence's edge.  ``len`` is the group's positions.
     """
-    n = len(table)
-    out = []
-    for rule in template.rules:
-        values = []
-        for row, col in rule.cells:
-            r = position + row
-            if r < 0:
-                values.append(f"_B{r}")
-            elif r >= n:
-                values.append(f"_B+{r - n + 1}")
-            else:
-                cells = table[r]
-                if col >= len(cells):
-                    raise ConfigError(
-                        f"rule {rule.id} references column {col}, "
-                        f"table has {len(cells) - 1}")
-                values.append(cells[col])
-        out.append(f"{rule.id}={'/'.join(values)}")
-    return out
+    values: list[np.ndarray]
+    padded: np.ndarray  # (N_COLUMNS, padded positions)
+    rows: np.ndarray  # (positions,)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def strings(self, rule: Rule, positions: np.ndarray) -> list[str]:
+        """The feature strings "id=v1/v2/..." of ``rule`` at ``positions``."""
+        prefix = rule.id + "="
+        rows = self.rows[positions]
+        values = [self.values[col][self.padded[col, rows + row]].tolist()
+                  for row, col in rule.cells]
+        if len(values) == 1:
+            return [prefix + v for v in values[0]]
+        return [prefix + "/".join(cells) for cells in zip(*values)]
 
 
-# boundary sentinels of rows -4..-1 and n..n+3, as ``expand`` writes them
-_BEFORE = tuple(f"_B{r}" for r in range(-MAX_OFFSET, 0))
-_AFTER = tuple(f"_B+{k}" for k in range(1, MAX_OFFSET + 1))
+def feature_table(sentences) -> FeatureTable:
+    """The coded columns of ``sentences``: surface, stem, POS and chunk
+    coded per token, kind and case once per distinct surface."""
+    tokens = [t for s in sentences for t in s.tokens]
+    lengths = [len(s.tokens) for s in sentences if s.tokens]
+    frame = 2 * MAX_OFFSET
+    rows = (np.arange(len(tokens)) + MAX_OFFSET
+            + frame * np.repeat(np.arange(len(lengths)), lengths))
+    padded = np.empty((N_COLUMNS, len(tokens) + frame * len(lengths)),
+                      dtype=np.intp)
+    pad = np.ones(padded.shape[1], dtype=bool)
+    pad[rows] = False
+    padded[:, pad] = np.tile(np.arange(frame), len(lengths))  # codes 0..7
+    values = [np.array(SENTINELS, dtype=object)] * N_COLUMNS
+    for col, attr in enumerate(("surface", "stem", "pos", "chunk"), 1):
+        index = _coder()
+        padded[col, rows] = np.fromiter(
+            map(index.__getitem__, map(attrgetter(attr), tokens)), np.intp,
+            len(tokens))
+        values[col] = np.array(list(index), dtype=object)
+    surfaces = values[1].tolist()
+    for col, shape in ((5, token_kind), (6, token_case)):
+        index = _coder()
+        of_surface = np.fromiter(map(index.__getitem__, map(shape, surfaces)),
+                                 np.intp, len(surfaces))
+        padded[col, rows] = of_surface[padded[1, rows]]
+        values[col] = np.array(list(index), dtype=object)
+    return FeatureTable(values, padded, rows)
 
 
 def expand_sentence(template: FeatureTemplate,
-                    table: list[tuple[str, ...]]) -> list[list[str]]:
-    """``expand`` at every position, built one rule column at a time."""
+                    table: FeatureTable) -> np.ndarray:
+    """The (positions, rules) key of every rule at every position of
+    ``table``.  Two positions share a rule's key exactly when they share
+    the codes of its cells, and every key is below ``len(table) +
+    len(SENTINELS)``, as a one-cell rule's codes are.  A multi-cell rule's
+    key is mixed-radix over its columns' code counts, renumbered by
+    ``np.unique`` where the next cell would pass int64 and once more at
+    the end if it passes that bound."""
     n = len(table)
-    if not n:
-        return []
-    # column c padded with sentinels: row r of the sentence is entry r + 4
-    padded = [_BEFORE + column + _AFTER for column in zip(*table)]
-    strings = [_rule_column(rule, padded, n) for rule in template.rules]
-    if not strings:
-        return [[] for _ in range(n)]
-    return [list(feats) for feats in zip(*strings)]
+    keys = np.empty((n, len(template.rules)), dtype=np.int64)
+    for j, rule in enumerate(template.rules):
+        key, size = 0, 1
+        for row, col in rule.cells:
+            radix = len(table.values[col])
+            if size * radix > _KEY_LIMIT:
+                key, size = _renumber(key)
+            key = key * radix + table.padded[col, table.rows + row]
+            size *= radix
+        if size > n + len(SENTINELS):
+            key, size = _renumber(key)
+        keys[:, j] = key
+    return keys
 
 
-def _rule_column(rule: Rule, padded: list[tuple[str, ...]], n: int) -> list[str]:
-    """The feature strings of one rule at positions 0..n-1."""
-    prefix = rule.id + "="
-    values = [padded[col][MAX_OFFSET + row:MAX_OFFSET + row + n]
-              for row, col in rule.cells]
-    if len(values) == 1:
-        return [prefix + v for v in values[0]]
-    return [prefix + "/".join(cells) for cells in zip(*values)]
+def _renumber(key: np.ndarray):
+    """(key, size): the keys renumbered 0..size-1, equal where they were.
+    Asking for ``return_index`` makes ``np.unique`` sort stably."""
+    found, _, key = np.unique(key, return_index=True, return_inverse=True)
+    return key, len(found)

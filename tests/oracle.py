@@ -1,5 +1,5 @@
-"""Per-sentence CRF inference: the reference the batched code in
-``spantag.crf`` is tested against.
+"""Per-sentence references the batched code in ``spantag`` is tested
+against.
 
 A ``Lattice`` holds one sentence's log-space node and edge scores;
 ``forward_backward`` computes log Z and the marginals by log-space
@@ -7,14 +7,24 @@ recursion, ``viterbi`` the best path (lowest-index tie-break), and
 ``objective_and_gradient`` the regularized negative log-likelihood one
 sentence at a time.  ``crf.BatchedObjective`` and ``crf.viterbi`` must
 give the same values and paths.
+
+The string expanders define the feature strings: ``feature_table`` is a
+sentence's rows of column values, ``expand`` the strings "id=v1/v2/..."
+of one position and ``expand_sentence`` those of every position.
+``string_alphabet`` and ``string_ids`` number every occurrence's string
+the way ``crf.build_alphabet`` and ``CrfModel.tag`` number them through
+integer keys, which must give the same ids.
 """
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
-from spantag.crf import FeatureAlphabet
-from spantag.errors import NumericError
+from spantag.crf import FeatureAlphabet, intern
+from spantag.errors import ConfigError, NumericError
+from spantag.features import MAX_OFFSET, FeatureTemplate, Rule
+from spantag.textprep import token_case, token_kind
 
 
 @dataclass
@@ -163,3 +173,95 @@ def objective_and_gradient(weights: np.ndarray, instances: list[Instance],
     if not np.isfinite(value) or not np.all(np.isfinite(grad)):
         raise NumericError("non-finite objective evaluation")
     return value, grad
+
+
+# --- feature strings ------------------------------------------------------
+
+def feature_table(sentence) -> list[tuple[str, ...]]:
+    """Per-token column rows for template expansion (column 0 unused)."""
+    return [("", t.surface, t.stem, t.pos, t.chunk,
+             token_kind(t.surface), token_case(t.surface))
+            for t in sentence.tokens]
+
+
+def expand(template: FeatureTemplate, table: list[tuple[str, ...]],
+           position: int) -> list[str]:
+    """Feature strings "id=v1/v2/..." for one position of one sentence.
+
+    Rows outside the sentence contribute boundary sentinels "_B-k" /
+    "_B+k" keyed by the distance past the edge.
+    """
+    n = len(table)
+    out = []
+    for rule in template.rules:
+        values = []
+        for row, col in rule.cells:
+            r = position + row
+            if r < 0:
+                values.append(f"_B{r}")
+            elif r >= n:
+                values.append(f"_B+{r - n + 1}")
+            else:
+                cells = table[r]
+                if col >= len(cells):
+                    raise ConfigError(
+                        f"rule {rule.id} references column {col}, "
+                        f"table has {len(cells) - 1}")
+                values.append(cells[col])
+        out.append(f"{rule.id}={'/'.join(values)}")
+    return out
+
+
+# boundary sentinels of rows -4..-1 and n..n+3, as ``expand`` writes them
+_BEFORE = tuple(f"_B{r}" for r in range(-MAX_OFFSET, 0))
+_AFTER = tuple(f"_B+{k}" for k in range(1, MAX_OFFSET + 1))
+
+
+def expand_sentence(template: FeatureTemplate,
+                    table: list[tuple[str, ...]]) -> list[list[str]]:
+    """``expand`` at every position, built one rule column at a time."""
+    n = len(table)
+    if not n:
+        return []
+    # column c padded with sentinels: row r of the sentence is entry r + 4
+    padded = [_BEFORE + column + _AFTER for column in zip(*table)]
+    strings = [_rule_column(rule, padded, n) for rule in template.rules]
+    if not strings:
+        return [[] for _ in range(n)]
+    return [list(feats) for feats in zip(*strings)]
+
+
+def _rule_column(rule: Rule, padded: list[tuple[str, ...]], n: int) -> list[str]:
+    """The feature strings of one rule at positions 0..n-1."""
+    prefix = rule.id + "="
+    values = [padded[col][MAX_OFFSET + row:MAX_OFFSET + row + n]
+              for row, col in rule.cells]
+    if len(values) == 1:
+        return [prefix + v for v in values[0]]
+    return [prefix + "/".join(cells) for cells in zip(*values)]
+
+
+def expand_batch(template: FeatureTemplate, sentences):
+    """Every feature string of ``sentences`` as one stream, position by
+    position and one per template rule (an empty sentence has none), and
+    every sentence's token count."""
+    strings = chain.from_iterable(chain.from_iterable(
+        expand_sentence(template, feature_table(s)) for s in sentences))
+    return strings, np.array([len(s.tokens) for s in sentences], dtype=np.intp)
+
+
+def string_alphabet(docs, template: FeatureTemplate):
+    """(feature index, (positions, rules) id matrix) of ``docs``: every
+    occurrence's string numbered by first occurrence."""
+    strings, lengths = expand_batch(
+        template, [s for doc in docs for s in doc.sentences])
+    feat_index, ids = intern(strings)
+    return feat_index, ids.reshape(lengths.sum(), len(template.rules))
+
+
+def string_ids(template: FeatureTemplate, sentences, feat_index):
+    """(positions, rules) ids of ``sentences`` looked up in ``feat_index``,
+    -1 for an unseen string."""
+    strings, lengths = expand_batch(template, sentences)
+    ids = np.fromiter(map(feat_index.get, strings, repeat(-1)), np.intp)
+    return ids.reshape(lengths.sum(), len(template.rules))

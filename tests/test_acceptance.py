@@ -15,7 +15,7 @@ from spantag import synth
 from spantag.cli import main
 from spantag.crf import TrainerConfig, train
 from spantag.evaluation import f1_scores
-from spantag.features import default_template, expand, feature_table
+from spantag.features import default_template
 from spantag.postprocess import adjust_labels, pipeline_spans
 from spantag.schemes import get_scheme
 from spantag.stats import (
@@ -28,7 +28,8 @@ from spantag.stats import (
 )
 
 from conftest import build_doc, build_sentence, enumerate_span_sets, is_valid
-from oracle import Instance, forward_backward, objective_and_gradient, viterbi
+from oracle import (Instance, expand, feature_table, forward_backward,
+                    objective_and_gradient, viterbi)
 from test_crf import brute_force, random_lattice, separable_docs, toy_alphabet
 
 ALL_SCHEMES = ("IO", "IOB", "IOBW", "IOBEW")

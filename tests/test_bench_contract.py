@@ -12,7 +12,11 @@ every decode crosses the first, and every decode the second.  The
 crossval-slice check counts trainings by replacing ``crf.train``, so
 crossval must still call it once per (fold, scheme).  ``cli tag``
 decodes groups of documents, each through ``CrfModel.tag``, so the
-tracer's ``crf.tag`` span and token counter cover every decode.
+tracer's ``crf.tag`` span and token counter cover every decode.  The
+integer-key encoder calls ``crf.feature_table`` and
+``crf.expand_sentence`` once per group of sentences, so the expansion
+counter reads the group's positions and the expansion time stays under
+``crf.tag`` and ``crf.alphabet``.
 """
 
 import sys
@@ -121,5 +125,9 @@ def test_cli_tag_decodes_groups_of_documents_through_tag(tmp_path,
     tags = sum(span[0] == "crf.tag" for span in tracer.spans)
     assert 1 < tags < len(docs)
     assert tracer.tagged_tokens == tokens
+    assert tracer.positions_expanded == tokens
+    # each group's column codes and keys: one ``feature_table`` and one
+    # ``expand_sentence`` call under its ``crf.tag``
+    assert spans_by_parent(tracer, "features.expand") == {"crf.tag": 2 * tags}
     assert spans_by_parent(tracer, "crf.lattice") == {"crf.tag": tags}
     assert spans_by_parent(tracer, "crf.viterbi") == {"crf.tag": tags}

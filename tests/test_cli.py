@@ -244,7 +244,9 @@ class TestTrainCommand:
         assert rc == 1
         assert "line 2: column index 7" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("event_type", ["NOPE X", ""])
+    # "$" would let a trailing newline through, and the model file written
+    # for it would not load
+    @pytest.mark.parametrize("event_type", ["NOPE X", "", "PROBLEM\n"])
     def test_bad_event_type_is_a_config_error(self, workdir, corpus_file,
                                               event_type):
         path = workdir / "bad_type.model"

@@ -40,6 +40,10 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="negative sentence index"):
             Span(-1, 0, 1, "PROBLEM")
 
+    def test_span_rejects_a_type_with_a_trailing_newline(self):
+        with pytest.raises(ValueError, match="bad event type"):
+            Span(0, 0, 1, "PROBLEM\n")
+
     def test_document_rejects_out_of_range_spans(self):
         sent = build_sentence(("a", "NN", "O"))
         with pytest.raises(ValueError):

@@ -27,8 +27,7 @@ from spantag.crf import (
     train,
 )
 from spantag.errors import ConfigError, ParseError
-from spantag.features import (default_template, expand_sentence,
-                               feature_table, parse_template)
+from spantag.features import default_template, parse_template
 from spantag.postprocess import pipeline_spans
 from spantag.schemes import SCHEME_NAMES, get_scheme
 
@@ -36,10 +35,14 @@ from conftest import build_doc, build_sentence
 from oracle import (
     Instance,
     Lattice,
+    expand_sentence,
+    feature_table,
     forward_backward,
     instance_lattice,
     objective_and_gradient,
     sequence_score,
+    string_alphabet,
+    string_ids,
     viterbi,
 )
 
@@ -516,6 +519,118 @@ class TestFoldEncoding:
         assert model.alphabet.feat_index is encoded.feat_index
 
 
+class TestIntegerKeys:
+    """The integer-key encoder against the string oracle: the same
+    ``feat_index`` order and id matrix from ``build_alphabet``, and the
+    same ids into ``CrfModel._decode`` from ``tag``."""
+
+    @staticmethod
+    def decoded_ids(model, docs):
+        """The id matrices ``tag_documents`` hands to ``_decode``."""
+        seen = []
+
+        def record(self, ids, lengths):
+            seen.append(ids)
+            return [[] for _ in lengths]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CrfModel, "_decode", record)
+            list(model.tag_documents(docs))
+        return np.concatenate(seen) if seen else None
+
+    def check(self, docs, template, held_out):
+        feat_index, want = string_alphabet(docs, template)
+        encoded = build_alphabet(docs, template)
+        assert list(encoded.feat_index) == list(feat_index)
+        assert encoded.ids.dtype == np.int32
+        np.testing.assert_array_equal(encoded.ids, want)
+        # tagging held-out documents: unseen strings give -1
+        alphabet = FeatureAlphabet(("O", "I"), template.transitions,
+                                   encoded.feat_index)
+        model = CrfModel(alphabet, np.zeros(alphabet.dim), get_scheme("IO"),
+                         template, "PROBLEM")
+        got = self.decoded_ids(model, held_out)
+        sentences = [s for d in held_out for s in d.sentences]
+        np.testing.assert_array_equal(
+            got, string_ids(template, sentences, encoded.feat_index))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 4),
+           rules=st.lists(st.lists(st.tuples(st.integers(-4, 4),
+                                             st.integers(1, 6)),
+                                   min_size=1, max_size=4), max_size=4),
+           transitions=st.booleans(),
+           group=st.sampled_from([1, 45, 10**6]), data=st.data())
+    def test_random_templates_match_the_string_oracle(
+            self, seed, n_docs, rules, transitions, group, data):
+        text = "".join(
+            f"U{i}:" + "/".join(f"%x[{row},{col}]" for row, col in cells)
+            + "\n" for i, cells in enumerate(rules))
+        template = parse_template(text + ("B\n" if transitions else ""))
+        docs = synth.generate(synth.default_profile(), seed, n_docs + 2)
+        docs[0].sentences.append(Sentence([]))
+        for _ in range(2):
+            docs.insert(data.draw(st.integers(0, len(docs))),
+                        Document("none", []))
+        train_docs, held_out = docs[:n_docs + 1], docs[n_docs + 1:]
+        held_out.append(Document("empty", [Sentence([])]))  # a last group
+        assume(any(d.sentences for d in train_docs))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crf, "_TAG_POSITIONS", group)
+            self.check(train_docs, template, held_out)
+
+    def test_keys_that_join_to_one_string_share_its_id(self):
+        # ("a/b", "c") and ("a", "b/c") are two keys of one string
+        template = parse_template("U0:%x[0,1]/%x[0,3]\n")
+        sentences = [build_sentence(("a/b", "c", "O"), ("d", "e", "O")),
+                     build_sentence(("a", "b/c", "O"), ("d", "e", "O"))]
+        docs = [build_doc("d0", sentences, [Span(0, 1, 2, "PROBLEM")])]
+        encoded = build_alphabet(docs, template)
+        assert list(encoded.feat_index) == ["U0=a/b/c", "U0=d/e"]
+        assert encoded.ids.ravel().tolist() == [0, 1, 0, 1]
+        self.check(docs, template, docs)
+        self.check_round_trip(docs, template)
+
+    def test_a_surface_that_spells_a_sentinel_shares_its_id(self):
+        template = parse_template("U0:%x[-1,1]\n")
+        sentences = [build_sentence(("_B-1", "NN", "O"), ("pain", "NN", "O")),
+                     build_sentence(("x", "NN", "O"))]
+        docs = [build_doc("d0", sentences, [Span(0, 1, 2, "PROBLEM")])]
+        encoded = build_alphabet(docs, template)
+        # the sentinel before each sentence and the surface before "pain"
+        assert list(encoded.feat_index) == ["U0=_B-1"]
+        assert encoded.ids.ravel().tolist() == [0, 0, 0]
+        self.check(docs, template, docs)
+        self.check_round_trip(docs, template)
+
+    def test_keys_past_int64_are_compressed(self):
+        # a 9-cell rule over more than 130 distinct surfaces in one group:
+        # the product of its columns' code counts passes 2**63
+        template = parse_template(
+            "U0:" + "/".join(f"%x[{r},1]" for r in range(-4, 5)) + "\n")
+        docs = synth.generate(synth.default_profile(), 3, 60)
+        group = [s for d in docs[:50] for s in d.sentences]
+        codes = len(crf.feature_table(group).values[1])
+        assert sum(map(len, group)) <= crf._TAG_POSITIONS
+        assert codes > 130 and codes ** 9 > 2 ** 63
+        self.check(docs[:50], template, docs[50:])
+
+    @staticmethod
+    def check_round_trip(docs, template):
+        """train -> save_model -> load_model -> tag gives the trained
+        model's labels and the ids of the strings it numbered."""
+        model = train(docs, template, get_scheme("IOB"), "PROBLEM",
+                      TrainerConfig(max_iterations=10))
+        clone = load_model(save_model(model))
+        assert list(clone.alphabet.feat_index) == list(
+            model.alphabet.feat_index)
+        for doc in docs:
+            assert clone.tag(doc) == model.tag(doc)
+        np.testing.assert_array_equal(
+            TestIntegerKeys.decoded_ids(clone, docs),
+            build_alphabet(docs, template).ids)
+
+
 # --- training ----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -587,7 +702,8 @@ class TestTraining:
         with pytest.raises(ConfigError):
             TrainerConfig(**kwargs)
 
-    @pytest.mark.parametrize("event_type", ["NOPE X", "", "B-PROBLEM"])
+    @pytest.mark.parametrize("event_type",
+                             ["NOPE X", "", "B-PROBLEM", "PROBLEM\n"])
     def test_bad_event_type_rejected(self, event_type):
         # a span of this type could not exist, and a model of it would
         # tag into a column file that cannot be read back

@@ -1,15 +1,19 @@
-"""Feature template DSL: parsing, expansion, boundary sentinels."""
+"""Feature template DSL: parsing, and the string expansion of the oracle
+that defines the feature strings, with its boundary sentinels."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spantag import synth
+from spantag import features, synth
+from spantag.corpus import Sentence
 from spantag.errors import ParseError
-from spantag.features import (DEFAULT_TEMPLATE_TEXT, default_template, expand,
-                              expand_sentence, feature_table, parse_template)
+from spantag.features import (DEFAULT_TEMPLATE_TEXT, default_template,
+                              parse_template)
 
 from conftest import build_sentence
+from oracle import expand, expand_sentence, feature_table
 
 
 # characters the template syntax gives meaning to, for mutants
@@ -185,3 +189,46 @@ class TestExpand:
         template = parse_template(text)
         assert expand_sentence(template, table) == [
             expand(template, table, i) for i in range(n)]
+
+
+class TestIntegerKeys:
+    """``features.feature_table`` codes a group of sentences' columns and
+    ``features.expand_sentence`` keys each rule at each position."""
+
+    def test_codes_decode_to_the_column_values(self, sent):
+        group = [sent, Sentence([]), _SYNTH_SENTENCES[0]]
+        table = features.feature_table(group)
+        rows = [row for s in group for row in feature_table(s)]
+        assert len(table) == len(rows)
+        for col in range(1, 7):
+            got = table.values[col][table.padded[col, table.rows]].tolist()
+            assert got == [row[col] for row in rows]
+        # every sentence is framed by the sentinels' codes 0..7
+        assert table.padded[1, table.rows[0] - 4:table.rows[0]].tolist() == \
+            [0, 1, 2, 3]
+        assert table.values[1][:8].tolist() == list(features.SENTINELS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pick=st.lists(st.integers(0, len(_SYNTH_SENTENCES) - 1),
+                         max_size=6),
+           rules=st.lists(st.lists(st.tuples(st.integers(-4, 4),
+                                             st.integers(1, 6)),
+                                   min_size=1, max_size=9), max_size=4))
+    def test_keys_are_equal_where_the_strings_are(self, pick, rules):
+        # a key may only be shared by cells with equal values, and every
+        # key is below the group's positions plus the eight sentinels
+        group = [_SYNTH_SENTENCES[i] for i in pick]
+        text = "".join(
+            f"U{i}:" + "/".join(f"%x[{row},{col}]" for row, col in cells)
+            + "\n" for i, cells in enumerate(rules))
+        template = parse_template(text)
+        table = features.feature_table(group)
+        keys = features.expand_sentence(template, table)
+        strings = [row for s in group
+                   for row in expand_sentence(template, feature_table(s))]
+        assert keys.shape == (len(table), len(template.rules))
+        assert np.all(keys < len(table) + 8)
+        for j in range(len(template.rules)):
+            by_key = {}
+            for key, row in zip(keys[:, j].tolist(), strings):
+                assert by_key.setdefault(key, row[j]) == row[j]
