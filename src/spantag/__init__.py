@@ -1,16 +1,16 @@
 """Sequence labeling for clinical-style event mentions.
 
-Tagging-scheme representation models (IO/IOB/IOBW/IOBEW), a
-template-driven linear-chain CRF, label repair and boundary-adjustment
-post-processing, strict/lenient span evaluation, and a repeated
-cross-validation harness with ANOVA and t-test reporting, plus a seeded
-synthetic corpus generator to run the whole pipeline on.
+Column-annotated token corpora in, token-span mentions out: tagging-scheme
+representation models (IO/IOB/IOBW/IOBEW), a template-driven linear-chain
+CRF, label repair and boundary-adjustment post-processing, strict/lenient
+span evaluation, and a repeated cross-validation harness with ANOVA and
+t-test reporting, plus a seeded synthetic corpus generator to run the
+whole pipeline on.  Every stage works in token positions.
 """
 
 from .corpus import (CorpusProfile, Document, Sentence, Span, Token,
-                     compute_profile, decode_document, document_from_text,
-                     encode_document, parse_column_file, parse_standoff,
-                     write_column_file, write_standoff)
+                     compute_profile, decode_document, encode_document,
+                     parse_column_file, write_column_file)
 from .crf import CrfModel, TrainerConfig, load_model, save_model, train
 from .errors import (ConfigError, NumericError, ParseError,
                      RepresentabilityError, SchemeValidityError, SpantagError,
@@ -35,10 +35,9 @@ __all__ = [
     "SpantagError", "StatResult", "SynthProfile", "Token", "TrainerConfig",
     "TrainingError", "adjust_labels", "anova_oneway", "compute_profile",
     "crossval", "decode_document", "default_profile", "default_template",
-    "document_from_text", "encode_document", "evaluate",
-    "expand_boundaries", "experiment_report", "feature_table", "generate",
-    "get_scheme", "load_model", "match_spans", "parse_column_file",
-    "parse_matrix", "parse_profile", "parse_standoff", "parse_template",
+    "encode_document", "evaluate", "expand_boundaries", "experiment_report",
+    "feature_table", "generate", "get_scheme", "load_model", "match_spans",
+    "parse_column_file", "parse_matrix", "parse_profile", "parse_template",
     "pipeline_spans", "save_model", "train", "ttest_unpaired",
-    "write_column_file", "write_standoff",
+    "write_column_file",
 ]

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from . import corpus, crf, evaluation, stats, synth
-from .errors import ConfigError, SpantagError
+from .errors import ConfigError, SpantagError, split_lines
 from .features import FeatureTemplate, default_template, parse_template
 from .postprocess import (ExpanderConfig, POST_MODES, parse_expander_config,
                           pipeline_spans)
@@ -44,7 +44,7 @@ def _load_template(args) -> FeatureTemplate:
         return default_template(transitions=not no_transitions)
     template = parse_template(_read_text(args.template, "template"))
     if no_transitions and template.transitions:
-        text = "\n".join(line for line in template.text.splitlines()
+        text = "\n".join(line for line in split_lines(template.text)
                          if line.strip() != "B")
         template = FeatureTemplate(template.rules, False, text + "\n")
     return template
@@ -128,7 +128,7 @@ def cmd_eval(args) -> int:
 
 def cmd_crossval(args) -> int:
     docs = _load_corpus(args.input)
-    types = (_parse_list(args.types) if args.types else
+    types = (_parse_types(args.types) if args.types else
              tuple(corpus.ordered_event_types(
                  {s.event_type for d in docs for s in d.gold_spans})))
     cv = stats.CvConfig(repeats=args.repeats, folds=args.folds,

@@ -1,5 +1,6 @@
-"""Annotated-document data model, column-file and standoff I/O, and
-corpus profile statistics.
+"""Annotated-document data model, column-file I/O, and corpus profile
+statistics.  Tokens carry no character offsets: spans, labels and
+boundaries are all in token positions.
 
 Column format (UTF-8): lines beginning "#!" are directives, a blank
 line ends a sentence, and every other line is one token with
@@ -15,18 +16,15 @@ type (the canonical form); a single `label:<SCHEME>` column carries
 type-suffixed labels ("B-PROBLEM") for all types jointly.  A missing
 stem column is recomputed at load; missing pos/chunk cells fall back to
 the placeholder "_NIL_".
-
-Standoff span format: one span per line,
-`doc_id<TAB>sentence_index<TAB>start<TAB>end<TAB>type`.
 """
 
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ParseError, SchemeValidityError
+from .errors import ParseError, SchemeValidityError, split_lines
 from .schemes import Scheme, get_scheme
-from .textprep import porter_stem, tokenize
+from .textprep import porter_stem
 
 PLACEHOLDER = "_NIL_"
 
@@ -38,8 +36,6 @@ _TYPE_RE = re.compile(r"[A-Za-z0-9_]+")  # whole names: fullmatch
 @dataclass(frozen=True, slots=True)
 class Token:
     surface: str
-    char_start: int
-    char_end: int
     stem: str = PLACEHOLDER
     pos: str = PLACEHOLDER
     chunk: str = PLACEHOLDER
@@ -47,10 +43,6 @@ class Token:
     def __post_init__(self):
         if not self.surface or any(ch.isspace() for ch in self.surface):
             raise ValueError(f"bad token surface {self.surface!r}")
-        if not self.char_start < self.char_end:
-            raise ValueError(
-                f"bad offsets [{self.char_start},{self.char_end}) "
-                f"for {self.surface!r}")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -94,19 +86,6 @@ class Document:
     def spans_of(self, event_type: str) -> list[Span]:
         """This document's spans of one event type, in sorted order."""
         return [s for s in self.gold_spans if s.event_type == event_type]
-
-    def event_types(self) -> list[str]:
-        return sorted({s.event_type for s in self.gold_spans})
-
-
-def document_from_text(doc_id: str, text: str, keep_hyphens: bool = False) -> Document:
-    """Tokenize raw text into an unannotated document with real offsets."""
-    sentences = [
-        Sentence([Token(surf, start, end, porter_stem(surf))
-                  for surf, start, end in sent])
-        for sent in tokenize(text, keep_hyphens=keep_hyphens)
-    ]
-    return Document(doc_id, sentences)
 
 
 def encode_document(doc: Document, scheme: Scheme, event_type: str) -> list[list[str]]:
@@ -204,7 +183,6 @@ def _flush_sentence(spec: _ColumnSpec, rows: list[tuple[int, list[str]]],
     if not rows:
         return
     tokens = []
-    offset = 0
     for line_no, cells in rows:
         surface = cells[spec.surface]
         if not surface:
@@ -213,12 +191,10 @@ def _flush_sentence(spec: _ColumnSpec, rows: list[tuple[int, list[str]]],
         pos = cells[spec.pos] if spec.pos is not None else PLACEHOLDER
         chunk = cells[spec.chunk] if spec.chunk is not None else PLACEHOLDER
         try:
-            tokens.append(Token(surface, offset, offset + len(surface),
-                                stem or PLACEHOLDER, pos or PLACEHOLDER,
-                                chunk or PLACEHOLDER))
+            tokens.append(Token(surface, stem or PLACEHOLDER,
+                                pos or PLACEHOLDER, chunk or PLACEHOLDER))
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from None
-        offset += len(surface) + 1
     sent_index = len(sentences)
     sentences.append(Sentence(tokens))
     first_line = rows[0][0]
@@ -254,7 +230,7 @@ def parse_column_file(text: str) -> list[Document]:
     spans: list[Span] = []
     doc_ids: set[str] = set()
     rows: list[tuple[int, list[str]]] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(split_lines(text), 1):
         if raw.startswith("#!"):
             m = _DIRECTIVE_RE.match(raw)
             if not m:
@@ -342,34 +318,6 @@ def write_column_file(docs: list[Document], scheme: Scheme,
                                         token.chunk, *labels]))
             lines.append("")
     return "\n".join(lines) + "\n"
-
-
-# --- standoff spans -----------------------------------------------------
-
-def write_standoff(spans_by_doc: dict[str, list[Span]]) -> str:
-    lines = []
-    for doc_id in sorted(spans_by_doc):
-        for span in sorted(spans_by_doc[doc_id]):
-            lines.append(f"{doc_id}\t{span.sentence_index}\t{span.start}"
-                         f"\t{span.end}\t{span.event_type}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_standoff(text: str) -> dict[str, list[Span]]:
-    out: dict[str, list[Span]] = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        if not raw.strip():
-            continue
-        cells = raw.split("\t")
-        if len(cells) != 5:
-            raise ParseError(f"expected 5 fields, got {len(cells)}", line_no)
-        doc_id, sent, start, end, event_type = cells
-        try:
-            span = Span(int(sent), int(start), int(end), event_type)
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
-        out.setdefault(doc_id, []).append(span)
-    return out
 
 
 # --- corpus profile -----------------------------------------------------

@@ -53,7 +53,8 @@ import numpy as np
 
 from . import optim
 from .corpus import _TYPE_RE, Document, encode_document
-from .errors import ConfigError, NumericError, ParseError, check_count
+from .errors import (ConfigError, NumericError, ParseError, check_count,
+                     split_lines)
 from .features import (SENTINELS, FeatureTemplate, expand_sentence,
                        feature_table, parse_template)
 from .schemes import Scheme, get_scheme
@@ -637,16 +638,16 @@ def save_model(model: CrfModel) -> str:
     template_text = model.template.text
     if not template_text.endswith("\n"):
         template_text += "\n"
-    template_lines = template_text.count("\n")
+    template_lines = split_lines(template_text)
     lines = [
         MODEL_FORMAT,
         f"scheme = {model.scheme.name}",
         f"event_type = {model.event_type}",
         f"transitions = {'true' if a.transitions else 'false'}",
         f"labels = {' '.join(a.labels)}",
-        f"template_lines = {template_lines}",
+        f"template_lines = {len(template_lines)}",
+        *template_lines,
     ]
-    lines.extend(template_text.splitlines())
     lines.append(f"features = {a.n_features}")
     for idx, ((feat, lab), weight) in enumerate(zip(a.cells(), model.weights)):
         lines.append(f"{idx}\t{feat}\t{lab}\t{float(weight)!r}")
@@ -654,7 +655,7 @@ def save_model(model: CrfModel) -> str:
 
 
 def load_model(text: str) -> CrfModel:
-    lines = text.splitlines()
+    lines = split_lines(text)
     if not lines or lines[0] != MODEL_FORMAT:
         got = lines[0] if lines else "<empty>"
         raise ParseError(f"unsupported model format {got!r}", 1)

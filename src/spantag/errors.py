@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the toolkit, and the check that a
-count setting is an integer in range."""
+"""Exception hierarchy shared across the toolkit, the line splitter that
+numbers every reader's lines, and the check that a count setting is an
+integer in range."""
 
 from numbers import Integral
 
@@ -17,6 +18,20 @@ class ParseError(SpantagError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def split_lines(text: str) -> list[str]:
+    r"""Lines of ``text`` without their ends, as ``ParseError`` numbers them.
+
+    Only "\n", "\r\n" and "\r" end a line: the breaks text-mode
+    ``open()`` translates.  Unlike ``str.splitlines``, form feeds, file
+    separators, NEL and U+2028/U+2029 stay inside their line.  A final
+    line end opens no empty line.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 class RepresentabilityError(SpantagError):

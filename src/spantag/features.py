@@ -28,7 +28,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, split_lines
 from .textprep import token_case, token_kind
 
 N_COLUMNS = 7  # index 0 unused so template column numbers apply directly
@@ -91,7 +91,7 @@ def parse_template(text: str) -> FeatureTemplate:
     rules: list[Rule] = []
     seen: set[str] = set()
     transitions = False
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(split_lines(text), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,18 +1,19 @@
 """Boundary post-processing on predicted segments: gap bridging and the
-boundary expander.
+boundary expander.  Segments and spans are token positions.
 
 `_bridge` joins segments separated by at most one O token (touching
 segments included) — the step that turns a trained IOBW model into the
-IOBW+ configuration; `adjust_labels` is the same step on a label
-sequence.  `expand_boundaries` then grows each span over adjacent
-noun/noun-phrase tokens and determiners.  `pipeline_spans` segments each
-predicted row once and applies both steps to the segments.
+IOBW+ configuration; `adjust_labels` is the same step on one label
+sequence, the library form of the boundary adjustment, which the
+pipeline does not call.  `expand_boundaries` then grows each span over
+adjacent noun/noun-phrase tokens and determiners.  `pipeline_spans`
+segments each predicted row once and applies both steps to the segments.
 """
 
 from dataclasses import dataclass
 
 from .corpus import Document, Sentence, Span
-from .errors import ParseError
+from .errors import ParseError, split_lines
 from .schemes import Scheme
 from .textprep import token_kind
 
@@ -41,7 +42,7 @@ _CONFIG_KEYS = ("noun_pos_tags", "np_chunk_tags", "determiner_lexicon",
 def parse_expander_config(text: str) -> ExpanderConfig:
     """Read `key = a,b,c` lines; unset keys keep their defaults."""
     values = {}
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(split_lines(text), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

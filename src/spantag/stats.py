@@ -22,8 +22,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import crf
-from .corpus import Document
-from .errors import ConfigError, NumericError, ParseError, check_count
+from .corpus import _TYPE_RE, Document
+from .errors import (ConfigError, NumericError, ParseError, check_count,
+                     split_lines)
 from .evaluation import f1_scores
 from .features import FeatureTemplate
 from .postprocess import ExpanderConfig, pipeline_spans
@@ -191,6 +192,9 @@ class CvConfig:
             raise ConfigError("models must be non-empty")
         if not self.event_types:
             raise ConfigError("event_types must be non-empty")
+        for event_type in self.event_types:
+            if not _TYPE_RE.fullmatch(event_type):
+                raise ConfigError(f"bad event type {event_type!r}")
         for name in ("models", "event_types"):
             values = getattr(self, name)
             repeated = sorted({v for v in values if values.count(v) > 1})
@@ -226,7 +230,7 @@ class RunMatrix:
 
 def parse_matrix(text: str) -> RunMatrix:
     """Read the TSV emitted by ``RunMatrix.tsv``."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1)
+    lines = [(no, ln) for no, ln in enumerate(split_lines(text), 1)
              if ln.strip()]
     if not lines or lines[0][1].split("\t")[:2] != ["event", "model"]:
         raise ParseError("missing run-matrix header",

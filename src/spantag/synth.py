@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .corpus import Document, Sentence, Span, Token
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, split_lines
 from .postprocess import DEFAULT_DETERMINERS
 from .rng import SplitMix64
 from .textprep import porter_stem
@@ -200,7 +200,7 @@ def parse_profile(text: str) -> SynthProfile:
     globals_seen: dict[str, float] = {}
     raw_events: dict[str, dict] = {}
     keys_seen: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(split_lines(text), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -409,15 +409,8 @@ class _Generator:
             drafts.extend(mention)
             spans.append(Span(sentence_index, start, len(drafts), event_type))
             background_run()  # keeps mentions separated for every scheme
-        tokens = []
-        offset = 0
-        for draft in drafts:
-            tokens.append(Token(draft.surface, offset,
-                                offset + len(draft.surface),
-                                porter_stem(draft.surface), draft.pos,
-                                draft.chunk))
-            offset += len(draft.surface) + 1
-        return Sentence(tokens)
+        return Sentence([Token(draft.surface, porter_stem(draft.surface),
+                               draft.pos, draft.chunk) for draft in drafts])
 
     def document(self, index: int) -> Document:
         spans: list[Span] = []

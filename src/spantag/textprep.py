@@ -1,17 +1,8 @@
-"""Plain-text preparation: tokenization with sentence grouping, Porter
-stems for the stem column, and the token-shape classifiers (kind, case)
-used as feature columns.
+"""Token-level text helpers: Porter stems for the stem column, and the
+token-shape classifiers (kind, case) used as feature columns.
 """
 
-import re
-
 from . import porter
-
-# A token is a run of letters, a run of digits, or any single other
-# non-whitespace character.  With hyphen joining enabled, alphanumeric
-# runs connected by single hyphens stay one token ("x-ray", "10-mg").
-_TOKEN_RE = re.compile(r"[^\W\d_]+|\d+|\S")
-_TOKEN_HYPHEN_RE = re.compile(r"(?:[^\W\d_]+|\d+)(?:-(?:[^\W\d_]+|\d+))*|\S")
 
 _PUNCT_CHARS = set(".,;:!?'\"()[]{}-")
 
@@ -57,36 +48,3 @@ def porter_stem(surface: str) -> str:
     if surface.isalpha():
         return porter.stem(surface)
     return surface.lower()
-
-
-def _sentence_bounds(text: str) -> list[tuple[int, int]]:
-    """Character ranges of sentences: break after .!? when followed by
-    whitespace and an upper-case letter, and at blank lines."""
-    bounds = {0}
-    for m in re.finditer(r"\n[ \t]*\n", text):
-        bounds.add(m.end())
-    for m in re.finditer(r"[.!?]+(?=\s)", text):
-        rest = text[m.end():].lstrip()
-        if rest and rest[0].isupper():
-            bounds.add(m.end())
-    ordered = sorted(bounds)
-    ordered.append(len(text))
-    return [(s, e) for s, e in zip(ordered, ordered[1:]) if s < e]
-
-
-def tokenize(text: str, keep_hyphens: bool = False) -> list[list[tuple[str, int, int]]]:
-    """Split ``text`` into sentences of (surface, char_start, char_end).
-
-    Maximal letter runs and digit runs are tokens; every other
-    non-whitespace character stands alone.  Offsets address the original
-    string.  ``keep_hyphens`` keeps hyphenated alphanumeric compounds
-    ("x-ray") as single tokens instead of splitting at the hyphen.
-    """
-    pattern = _TOKEN_HYPHEN_RE if keep_hyphens else _TOKEN_RE
-    sentences = []
-    for start, end in _sentence_bounds(text):
-        tokens = [(m.group(), start + m.start(), start + m.end())
-                  for m in pattern.finditer(text[start:end])]
-        if tokens:
-            sentences.append(tokens)
-    return sentences

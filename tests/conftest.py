@@ -6,11 +6,10 @@ from spantag.corpus import PLACEHOLDER, Document, Sentence, Span, Token
 from spantag.textprep import porter_stem
 
 
-def make_token(surface, char_start, stem=None, pos=PLACEHOLDER,
-               chunk=PLACEHOLDER):
+def make_token(surface, stem=None, pos=PLACEHOLDER, chunk=PLACEHOLDER):
     if stem is None:
         stem = porter_stem(surface)
-    return Token(surface, char_start, char_start + len(surface), stem, pos, chunk)
+    return Token(surface, stem, pos, chunk)
 
 
 def is_valid(scheme, labels):
@@ -32,13 +31,9 @@ def enumerate_span_sets(n):
 
 
 def build_sentence(*cells):
-    """Sentence from (surface, pos, chunk) triples; offsets space-joined."""
-    tokens = []
-    offset = 0
-    for surface, pos, chunk in cells:
-        tokens.append(make_token(surface, offset, pos=pos, chunk=chunk))
-        offset += len(surface) + 1
-    return Sentence(tokens)
+    """Sentence from (surface, pos, chunk) triples."""
+    return Sentence([make_token(surface, pos=pos, chunk=chunk)
+                     for surface, pos, chunk in cells])
 
 
 def build_doc(doc_id, sentences, spans=()):

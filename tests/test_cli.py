@@ -509,7 +509,9 @@ class TestCrossvalAndStats:
     @pytest.mark.parametrize("models, types, message", [
         ("IO,IO", "ALPHA", "repeated models: ['IO']"),
         ("IO", "ALPHA,ALPHA", "repeated event_types: ['ALPHA']"),
-        (",", "ALPHA", "models must be non-empty")])
+        (",", "ALPHA", "models must be non-empty"),
+        ("IO", "ALPHA,A B", "bad event type 'A B'"),
+        ("IO", ",", "event_types must be non-empty")])
     def test_empty_or_repeated_list_is_a_config_error(
             self, workdir, corpus_file, capsys, models, types, message):
         matrix = workdir / "never_written.tsv"

@@ -1,4 +1,4 @@
-"""Document model, column-file and standoff I/O, profile statistics."""
+"""Document model, column-file I/O, profile statistics."""
 
 import dataclasses
 
@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spantag import synth
-from spantag.corpus import (PLACEHOLDER, Document, Sentence, Span, Token,
-                            compute_profile, decode_document,
-                            document_from_text, encode_document,
+from spantag.corpus import (PLACEHOLDER, Document, Span, Token,
+                            compute_profile, decode_document, encode_document,
                             ordered_event_types, parse_column_file,
-                            parse_standoff, write_column_file, write_standoff)
+                            write_column_file)
 from spantag.errors import ParseError, RepresentabilityError
 from spantag.schemes import SCHEME_NAMES, get_scheme
 
@@ -22,13 +21,15 @@ IOBW = get_scheme("IOBW")
 
 
 class TestModelValidation:
-    def test_token_rejects_whitespace_and_bad_offsets(self):
+    def test_token_rejects_whitespace_and_empty_surface(self):
         with pytest.raises(ValueError):
-            Token("a b", 0, 3, "a b", "NN", "O")
+            Token("a b", "a b", "NN", "O")
         with pytest.raises(ValueError):
-            Token("", 0, 0, "", "NN", "O")
-        with pytest.raises(ValueError):
-            Token("ab", 3, 3, "ab", "NN", "O")
+            Token("", "", "NN", "O")
+
+    def test_token_takes_no_offsets(self):
+        with pytest.raises(TypeError):
+            Token("ab", 0, 2, "ab", "NN", "O")
 
     def test_span_rejects_bad_extent_and_type(self):
         with pytest.raises(ValueError):
@@ -56,7 +57,6 @@ class TestModelValidation:
         doc = Document("d", [sent],
                        [Span(0, 1, 2, "TEST"), Span(0, 0, 1, "PROBLEM")])
         assert doc.gold_spans[0].start == 0
-        assert doc.event_types() == ["PROBLEM", "TEST"]
 
 
 class TestEncodeDecodeDocument:
@@ -163,14 +163,6 @@ class TestColumnFileParsing:
         assert (token.stem, token.pos, token.chunk) == \
             (PLACEHOLDER, PLACEHOLDER, PLACEHOLDER)
 
-    def test_offsets_follow_space_convention(self):
-        text = ("#! columns = surface\n"
-                "ab\tX\n".replace("\tX", "") + "cde\n")
-        [doc] = parse_column_file(text)
-        t0, t1 = doc.sentences[0].tokens
-        assert (t0.char_start, t0.char_end) == (0, 2)
-        assert (t1.char_start, t1.char_end) == (3, 6)
-
     def test_label_columns_build_gold_spans(self):
         text = ("#! columns = surface label:IOBW:PROBLEM\n"
                 "#! doc = d1\n"
@@ -249,55 +241,30 @@ class TestColumnFileParsing:
         assert "line 3" in str(exc.value)
         assert "I follows O" in str(exc.value)
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_only_newlines_count_as_line_ends(self, char):
+        text = ("#! columns = surface label:IOB:PROBLEM\n"
+                f"#! doc = d{char}\n"
+                "a\tO\n"
+                "b\tI\n")
+        with pytest.raises(ParseError, match="I follows O") as exc:
+            parse_column_file(text)
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_newline_conventions_number_lines_alike(self, end):
+        text = end.join(["#! columns = surface label:IOB:PROBLEM", "a\tO",
+                         "", "b\tI", ""])
+        with pytest.raises(ParseError) as exc:
+            parse_column_file(text)
+        assert exc.value.line == 4
+
     def test_foreign_label_points_at_line(self):
         text = ("#! columns = surface label:IO:PROBLEM\n"
                 "a\tB\n")
         with pytest.raises(ParseError, match="line 2"):
             parse_column_file(text)
-
-
-class TestStandoff:
-    def test_round_trip(self, tiny_doc):
-        spans_by_doc = {"doc-a": list(tiny_doc.gold_spans)}
-        text = write_standoff(spans_by_doc)
-        assert parse_standoff(text) == spans_by_doc
-
-    def test_format_is_sorted_and_tabbed(self, tiny_doc):
-        text = write_standoff({"doc-a": list(reversed(tiny_doc.gold_spans))})
-        lines = text.splitlines()
-        assert lines[0] == "doc-a\t0\t1\t3\tPROBLEM"
-        assert lines[1] == "doc-a\t1\t1\t2\tTEST"
-
-    def test_empty_input_writes_empty_string(self):
-        assert write_standoff({}) == ""
-
-    @pytest.mark.parametrize("bad", [
-        "doc\t0\t1\n",                    # wrong arity
-        "doc\t0\tx\t2\tPROBLEM\n",        # non-integer
-        "doc\t0\t2\t2\tPROBLEM\n",        # empty span
-    ])
-    def test_parse_errors(self, bad):
-        with pytest.raises(ParseError):
-            parse_standoff(bad)
-
-    def test_negative_sentence_index_rejected_at_its_line(self):
-        with pytest.raises(ParseError) as exc:
-            parse_standoff("d\t0\t0\t1\tPROBLEM\nd\t-1\t0\t1\tPROBLEM\n")
-        assert exc.value.line == 2
-        assert "negative sentence index" in str(exc.value)
-
-
-class TestDocumentFromText:
-    def test_tokens_carry_real_offsets_and_stems(self):
-        doc = document_from_text("d", "Severe hopping pains. No relief.")
-        assert len(doc.sentences) == 2
-        token = doc.sentences[0].tokens[1]
-        assert token.surface == "hopping"
-        assert token.stem == "hop"
-        assert (token.pos, token.chunk) == (PLACEHOLDER, PLACEHOLDER)
-
-    def test_empty_text(self):
-        assert document_from_text("d", "").sentences == []
 
 
 class TestOrderedEventTypes:

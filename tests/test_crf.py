@@ -740,6 +740,20 @@ class TestModelFile:
         text = save_model(model)
         assert save_model(load_model(text)) == text
 
+    def test_form_feed_template_line_round_trips(self):
+        # str.splitlines breaks at \x0c; only \n, \r\n and \r end a line
+        docs = separable_docs()
+        template = parse_template("U00:%x[0,1]\n\x0c\nU01:%x[0,2]\n")
+        model = train(docs, template, get_scheme("IOB"), "PROBLEM",
+                      TrainerConfig(max_iterations=20))
+        text = save_model(model)
+        clone = load_model(text)
+        assert clone.template.text == template.text
+        assert np.array_equal(clone.weights, model.weights)
+        assert save_model(clone) == text
+        for doc in docs:
+            assert clone.tag(doc) == model.tag(doc)
+
     def test_untrained_weights_round_trip_verbatim(self):
         # exercises repr-level float fidelity on awkward values
         scheme = get_scheme("IO")

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spantag import synth
-from spantag.corpus import (Span, parse_column_file, parse_standoff,
-                            write_column_file, write_standoff)
+from spantag.corpus import Span, parse_column_file, write_column_file
 from spantag.crf import (CrfModel, FeatureAlphabet, intern, load_model,
                          save_model)
 from spantag.errors import SpantagError
@@ -23,8 +22,8 @@ from spantag.stats import RunMatrix, parse_matrix
 
 from conftest import build_doc, build_sentence
 
-# digits, signs, separators, line breaks (including the ones only
-# str.splitlines knows), header keys and label letters
+# digits, signs, separators, line breaks (and NEL and U+2028, which
+# str.splitlines would also break at), header keys and label letters
 _MUTATION_CHARS = "0123456789-+.e=,:# \t\n\r\x85 _xIOBWEnaift"
 
 
@@ -68,11 +67,6 @@ def _matrix_file():
     return matrix.tsv()
 
 
-def _standoff_file():
-    return write_standoff({"doc-a": [Span(0, 1, 3, "PROBLEM")],
-                           "doc-b": [Span(2, 0, 1, "TEST")]})
-
-
 _EXPANDER_FILE = ("# boundary expander\nnoun_pos_tags = NN,NNS\n"
                   "determiner_lexicon = the,a,an\n")
 
@@ -82,7 +76,6 @@ FORMATS = {
     "model": (_model_file, load_model),
     "profile": (_profile_file, synth.parse_profile),
     "run-matrix": (_matrix_file, parse_matrix),
-    "standoff": (_standoff_file, parse_standoff),
     "expander": (lambda: _EXPANDER_FILE, parse_expander_config),
 }
 

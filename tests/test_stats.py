@@ -317,6 +317,11 @@ class TestCvConfig:
             with pytest.raises(ConfigError):
                 CvConfig(event_types=("PROBLEM",), **kwargs)
 
+    @pytest.mark.parametrize("name", ["A B", "", "PROBLEM\n", "B-TEST"])
+    def test_event_type_names_are_checked(self, name):
+        with pytest.raises(ConfigError, match="bad event type"):
+            CvConfig(event_types=("PROBLEM", name))
+
 
 TWO_TYPES = synth.SynthProfile(
     {"ALPHA": synth.EventSpec(0.5, {1: 0.4, 2: 0.6}, 0.5, 0.1),

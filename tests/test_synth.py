@@ -63,15 +63,11 @@ class TestGenerateStructure:
         assert all(len(d.sentences) == 5 for d in docs)
         assert generate(two_type_profile(), 1, 0) == []
 
-    def test_token_offsets_and_stems_are_consistent(self):
+    def test_token_stems_are_consistent(self):
         for doc in generate(default_profile(), 3, 8):
             for sentence in doc.sentences:
-                offset = 0
                 for token in sentence.tokens:
-                    assert token.char_start == offset
-                    assert token.char_end == offset + len(token.surface)
                     assert token.stem == porter_stem(token.surface)
-                    offset = token.char_end + 1
 
     def test_spans_are_separated_and_in_bounds(self):
         for doc in generate(default_profile(), 11, 15):

@@ -1,68 +1,8 @@
-"""Tokenization, sentence grouping, and token classifiers."""
+"""Token classifiers: kind and case."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from spantag.textprep import (CASES, KINDS, token_case, token_kind, tokenize)
-
-
-class TestTokenize:
-    def test_splits_words_numbers_punctuation(self):
-        [sent] = tokenize("Pain lasted 3 days.")
-        assert [t[0] for t in sent] == ["Pain", "lasted", "3", "days", "."]
-
-    def test_offsets_slice_back_to_surfaces(self):
-        text = "BP was 120/80.  No edema."
-        for sent in tokenize(text):
-            for surface, start, end in sent:
-                assert text[start:end] == surface
-
-    def test_hyphen_splits_by_default(self):
-        [sent] = tokenize("x-ray done")
-        assert [t[0] for t in sent] == ["x", "-", "ray", "done"]
-
-    def test_keep_hyphens_glues_compounds(self):
-        [sent] = tokenize("x-ray done", keep_hyphens=True)
-        assert [t[0] for t in sent] == ["x-ray", "done"]
-
-    def test_keep_hyphens_requires_joined_sides(self):
-        [sent] = tokenize("pre- op", keep_hyphens=True)
-        assert [t[0] for t in sent] == ["pre", "-", "op"]
-
-    def test_sentence_break_on_terminator_then_capital(self):
-        sents = tokenize("He fell. She called.")
-        assert [[t[0] for t in s] for s in sents] == \
-            [["He", "fell", "."], ["She", "called", "."]]
-
-    def test_no_break_before_lowercase_continuation(self):
-        sents = tokenize("approx. two days later")
-        assert len(sents) == 1
-
-    def test_blank_line_always_breaks(self):
-        sents = tokenize("no fever\n\nno chills")
-        assert [[t[0] for t in s] for s in sents] == \
-            [["no", "fever"], ["no", "chills"]]
-
-    def test_empty_and_whitespace_input(self):
-        assert tokenize("") == []
-        assert tokenize("   \n\t ") == []
-
-    def test_number_word_boundary(self):
-        [sent] = tokenize("10mg dose")
-        assert [t[0] for t in sent] == ["10", "mg", "dose"]
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.text(alphabet=st.characters(codec="ascii"), max_size=80))
-    def test_offsets_monotone_and_faithful(self, text):
-        last_end = 0
-        for sent in tokenize(text):
-            assert sent, "empty sentences must be dropped"
-            for surface, start, end in sent:
-                assert start >= last_end
-                assert text[start:end] == surface
-                assert not surface[:1].isspace()
-                last_end = end
+from spantag.textprep import CASES, KINDS, token_case, token_kind
 
 
 class TestTokenKind:
