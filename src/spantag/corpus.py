@@ -15,7 +15,8 @@ tab-separated cells matching the declared columns:
 type (the canonical form); a single `label:<SCHEME>` column carries
 type-suffixed labels ("B-PROBLEM") for all types jointly.  A missing
 stem column is recomputed at load; missing pos/chunk cells fall back to
-the placeholder "_NIL_".
+the placeholder "_NIL_".  The rows of one parse that have equal token
+cells share one immutable ``Token`` object.
 """
 
 import re
@@ -31,6 +32,8 @@ PLACEHOLDER = "_NIL_"
 EVENT_TYPES = ("PROBLEM", "TEST", "TREATMENT", "OCCURRENCE", "EVIDENTIAL")
 
 _TYPE_RE = re.compile(r"[A-Za-z0-9_]+")  # whole names: fullmatch
+_SPACE_SEARCH = re.compile(r"\s").search  # the characters str.isspace accepts
+_CELL_BREAK_SEARCH = re.compile(r"[\t\n\r]").search
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,7 +44,7 @@ class Token:
     chunk: str = PLACEHOLDER
 
     def __post_init__(self):
-        if not self.surface or any(ch.isspace() for ch in self.surface):
+        if not self.surface or _SPACE_SEARCH(self.surface):
             raise ValueError(f"bad token surface {self.surface!r}")
 
 
@@ -128,6 +131,12 @@ class _ColumnSpec:
     pos: int | None
     chunk: int | None
     labels: list[_LabelColumn]
+    token_columns: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        self.token_columns = tuple(
+            i for i in (self.surface, self.stem, self.pos, self.chunk)
+            if i is not None)
 
 
 def _parse_columns_decl(value: str, line_no: int) -> _ColumnSpec:
@@ -175,31 +184,35 @@ def _project_joint(label: str, event_type: str) -> str:
     return prefix if suffix == event_type else "O"
 
 
-def _flush_sentence(spec: _ColumnSpec, rows: list[tuple[int, list[str]]],
+def _flush_sentence(spec: _ColumnSpec, first_line: int,
+                    rows: list[list[str]], shared: dict[str, Token],
                     sentences: list[Sentence], spans: list[Span]) -> None:
-    """Append the buffered body rows, (line number, cells) pairs, to the
-    open document's lists as one sentence and the spans its label columns
-    carry; then empty the buffer."""
+    """Append the buffered body rows, the split cells of consecutive lines
+    from ``first_line`` on, to the open document's lists as one sentence
+    and the spans its label columns carry.
+
+    ``shared`` maps a row's token cells (those of surface, stem, pos and
+    chunk the file has) to its ``Token``: a row whose cells were seen
+    before in this parse reuses that token, and only a new one is built,
+    stemmed and checked.  Empties the buffer.
+    """
     if not rows:
         return
-    tokens = []
-    for line_no, cells in rows:
-        surface = cells[spec.surface]
-        if not surface:
-            raise ParseError("empty surface cell", line_no)
-        stem = cells[spec.stem] if spec.stem is not None else porter_stem(surface)
-        pos = cells[spec.pos] if spec.pos is not None else PLACEHOLDER
-        chunk = cells[spec.chunk] if spec.chunk is not None else PLACEHOLDER
-        try:
-            tokens.append(Token(surface, stem or PLACEHOLDER,
-                                pos or PLACEHOLDER, chunk or PLACEHOLDER))
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
+    columns = list(zip(*rows))
+    keys = list(map("\t".join, zip(*[columns[i] for i in spec.token_columns])))
+    tokens = list(map(shared.get, keys))
+    if not all(tokens):
+        for i, token in enumerate(tokens):
+            if token is None:
+                token = shared.get(keys[i]) or _new_token(
+                    spec, rows[i], first_line + i)
+                tokens[i] = shared[keys[i]] = token
     sent_index = len(sentences)
     sentences.append(Sentence(tokens))
-    first_line = rows[0][0]
     for lc in spec.labels:
-        column = [cells[lc.index] for _, cells in rows]
+        column = columns[lc.index]
+        if column.count("O") == len(column):
+            continue  # "O" is in every scheme and marks no span
         if lc.event_type is not None:
             _decode_label_column(column, lc.scheme, lc.event_type,
                                  sent_index, first_line, spans)
@@ -217,19 +230,37 @@ def _flush_sentence(spec: _ColumnSpec, rows: list[tuple[int, list[str]]],
     rows.clear()
 
 
+def _new_token(spec: _ColumnSpec, cells: list[str], line_no: int) -> Token:
+    surface = cells[spec.surface]
+    if not surface:
+        raise ParseError("empty surface cell", line_no)
+    stem = cells[spec.stem] if spec.stem is not None else porter_stem(surface)
+    pos = cells[spec.pos] if spec.pos is not None else PLACEHOLDER
+    chunk = cells[spec.chunk] if spec.chunk is not None else PLACEHOLDER
+    try:
+        return Token(surface, stem or PLACEHOLDER, pos or PLACEHOLDER,
+                     chunk or PLACEHOLDER)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no) from None
+
+
 def parse_column_file(text: str) -> list[Document]:
     """Parse a column-format stream into documents.
 
     Tokens appearing before any `#! doc` directive go into an implicit
     document with id "doc0".  Document ids must be unique and, like
-    surfaces, free of whitespace.
+    surfaces, free of whitespace.  Rows with equal token cells share one
+    immutable ``Token`` object within a parse; no token is shared
+    between two parses.
     """
     spec: _ColumnSpec | None = None
     opened: list[tuple[str, list[Sentence], list[Span]]] = []
     sentences: list[Sentence] = []
     spans: list[Span] = []
     doc_ids: set[str] = set()
-    rows: list[tuple[int, list[str]]] = []
+    shared: dict[str, Token] = {}
+    rows: list[list[str]] = []
+    first_line = 0
     for line_no, raw in enumerate(split_lines(text), 1):
         if raw.startswith("#!"):
             m = _DIRECTIVE_RE.match(raw)
@@ -243,20 +274,21 @@ def parse_column_file(text: str) -> list[Document]:
             elif key == "doc":
                 if not value:
                     raise ParseError("empty document id", line_no)
-                if any(ch.isspace() for ch in value):
+                if _SPACE_SEARCH(value):
                     raise ParseError(
                         f"whitespace in document id {value!r}", line_no)
                 if value in doc_ids:
                     raise ParseError(f"duplicate document id {value!r}",
                                      line_no)
-                _flush_sentence(spec, rows, sentences, spans)
+                _flush_sentence(spec, first_line, rows, shared,
+                                sentences, spans)
                 sentences, spans = [], []
                 opened.append((value, sentences, spans))
                 doc_ids.add(value)
             else:
                 raise ParseError(f"unknown directive {key!r}", line_no)
         elif not raw.strip():
-            _flush_sentence(spec, rows, sentences, spans)
+            _flush_sentence(spec, first_line, rows, shared, sentences, spans)
         else:
             if spec is None:
                 raise ParseError("token line before columns directive", line_no)
@@ -265,22 +297,25 @@ def parse_column_file(text: str) -> list[Document]:
                 raise ParseError(
                     f"expected {len(spec.names)} columns, got {len(cells)}",
                     line_no)
-            if not opened:
-                opened.append(("doc0", sentences, spans))
-                doc_ids.add("doc0")
-            rows.append((line_no, cells))
-    _flush_sentence(spec, rows, sentences, spans)
+            if not rows:
+                first_line = line_no
+                if not opened:
+                    opened.append(("doc0", sentences, spans))
+                    doc_ids.add("doc0")
+            rows.append(cells)
+    _flush_sentence(spec, first_line, rows, shared, sentences, spans)
     return [Document(doc_id, sentences, spans)
             for doc_id, sentences, spans in opened]
 
 
 def _decode_label_column(column, scheme, event_type, sent_index, first_line, out):
-    for i, lab in enumerate(column):
-        if lab not in scheme.labels:
-            raise ParseError(
-                f"label {lab!r} not in scheme {scheme.name}", first_line + i)
     try:
-        pairs = scheme.decode(column)
+        pairs = scheme.decode(list(column))
+    except ValueError:  # lenient segmentation met a label outside the scheme
+        i, lab = next((i, lab) for i, lab in enumerate(column)
+                      if lab not in scheme.labels)
+        raise ParseError(f"label {lab!r} not in scheme {scheme.name}",
+                         first_line + i) from None
     except SchemeValidityError as exc:
         raise ParseError(
             f"{scheme.name} violation for {event_type}: {exc.rule}",
@@ -301,23 +336,78 @@ def write_column_file(docs: list[Document], scheme: Scheme,
     """Serialize documents in the canonical per-type column layout.
 
     Byte-deterministic; raises a representability error when the scheme
-    cannot express some document's spans.
+    cannot express some document's spans, and ``ValueError``, naming the
+    document, sentence and cell, for what ``parse_column_file`` would
+    reject or read back as something else: an empty, repeated or
+    whitespace-holding document id, a sentence without tokens, a surface
+    that starts like a directive, and an empty stem, pos or chunk cell or
+    one holding a tab or line end.
     """
     if event_types is None:
         event_types = ordered_event_types(
             {s.event_type for d in docs for s in d.gold_spans})
+    for t in event_types:
+        if not _TYPE_RE.fullmatch(t) or event_types.count(t) > 1:
+            raise ValueError(f"bad or repeated event type {t!r}")
     header = "#! columns = surface stem pos chunk" + "".join(
         f" label:{scheme.name}:{t}" for t in event_types)
     lines = [header]
+    doc_ids: set[str] = set()
+    n_rows = 0
     for doc in docs:
+        if not doc.id or _SPACE_SEARCH(doc.id):
+            raise ValueError(
+                f"document id {doc.id!r} is empty or holds whitespace")
+        if doc.id in doc_ids:
+            raise ValueError(f"repeated document id {doc.id!r}")
+        doc_ids.add(doc.id)
         lines.append(f"#! doc = {doc.id}")
         columns = [encode_document(doc, scheme, t) for t in event_types]
-        for sentence, *label_rows in zip(doc.sentences, *columns):
+        for s_idx, (sentence, *label_rows) in enumerate(
+                zip(doc.sentences, *columns)):
+            if not sentence.tokens:
+                raise ValueError(
+                    f"document {doc.id!r} sentence {s_idx} has no tokens")
+            n_rows += len(sentence.tokens)
             for token, *labels in zip(sentence.tokens, *label_rows):
                 lines.append("\t".join([token.surface, token.stem, token.pos,
                                         token.chunk, *labels]))
             lines.append("")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    # Surfaces hold no whitespace and labels, types and ids no tab or line
+    # end, so only a cell the reader cannot read back as written adds a
+    # tab, a line end, a directive start or an empty cell to the text.
+    if (text.count("\t") != n_rows * (3 + len(event_types))
+            or text.count("\n") != len(lines)
+            or text.count("\n#!") != len(docs)
+            or "\t\t" in text or "\t\n" in text or "\r" in text):
+        _raise_unwritable(docs)
+    return text
+
+
+def _raise_unwritable(docs: list[Document]) -> None:
+    """Raise ``ValueError`` for the first token with a cell the reader
+    would not read back as written, checking each distinct token once."""
+    checked: set[int] = set()
+    for doc in docs:
+        for s_idx, sentence in enumerate(doc.sentences):
+            for token in sentence.tokens:
+                if id(token) not in checked:
+                    checked.add(id(token))
+                    _check_writable(token, doc.id, s_idx)
+
+
+def _check_writable(token: Token, doc_id: str, s_idx: int) -> None:
+    where = f"document {doc_id!r} sentence {s_idx}"
+    if token.surface.startswith("#!"):
+        raise ValueError(f"{where}: surface {token.surface!r} would read "
+                         "as a directive")
+    for name in ("stem", "pos", "chunk"):
+        value = getattr(token, name)
+        if not value or _CELL_BREAK_SEARCH(value):
+            raise ValueError(f"{where}: {name} cell {value!r} of "
+                             f"{token.surface!r} is empty or holds a tab "
+                             "or line end")
 
 
 # --- corpus profile -----------------------------------------------------

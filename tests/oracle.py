@@ -14,6 +14,11 @@ of one position and ``expand_sentence`` those of every position.
 ``string_alphabet`` and ``string_ids`` number every occurrence's string
 the way ``crf.build_alphabet`` and ``CrfModel.tag`` number them through
 integer keys, which must give the same ids.
+
+``parse_column_file`` is the row-by-row column reader: one new ``Token``
+per body line, and each label cell checked and decoded in row order.
+``corpus.parse_column_file`` must return equal documents, or raise the
+same first ``ParseError``.
 """
 
 from dataclasses import dataclass
@@ -21,10 +26,14 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from spantag.corpus import (_DIRECTIVE_RE, _TYPE_RE, PLACEHOLDER,
+                            Document, Sentence, Span, Token, _ColumnSpec,
+                            _parse_columns_decl, _project_joint)
 from spantag.crf import FeatureAlphabet, intern
-from spantag.errors import ConfigError, NumericError
+from spantag.errors import (ConfigError, NumericError, ParseError,
+                            SchemeValidityError, split_lines)
 from spantag.features import MAX_OFFSET, FeatureTemplate, Rule
-from spantag.textprep import token_case, token_kind
+from spantag.textprep import porter_stem, token_case, token_kind
 
 
 @dataclass
@@ -265,3 +274,119 @@ def string_ids(template: FeatureTemplate, sentences, feat_index):
     strings, lengths = expand_batch(template, sentences)
     ids = np.fromiter(map(feat_index.get, strings, repeat(-1)), np.intp)
     return ids.reshape(lengths.sum(), len(template.rules))
+
+
+# --- column files -----------------------------------------------------
+
+def _flush_sentence(spec: _ColumnSpec, rows: list[tuple[int, list[str]]],
+                    sentences: list[Sentence], spans: list[Span]) -> None:
+    """Append the buffered body rows, (line number, cells) pairs, to the
+    open document's lists as one sentence and the spans its label columns
+    carry; then empty the buffer."""
+    if not rows:
+        return
+    tokens = []
+    for line_no, cells in rows:
+        surface = cells[spec.surface]
+        if not surface:
+            raise ParseError("empty surface cell", line_no)
+        stem = cells[spec.stem] if spec.stem is not None else porter_stem(surface)
+        pos = cells[spec.pos] if spec.pos is not None else PLACEHOLDER
+        chunk = cells[spec.chunk] if spec.chunk is not None else PLACEHOLDER
+        try:
+            tokens.append(Token(surface, stem or PLACEHOLDER,
+                                pos or PLACEHOLDER, chunk or PLACEHOLDER))
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
+    sent_index = len(sentences)
+    sentences.append(Sentence(tokens))
+    first_line = rows[0][0]
+    for lc in spec.labels:
+        column = [cells[lc.index] for _, cells in rows]
+        if lc.event_type is not None:
+            _decode_label_column(column, lc.scheme, lc.event_type,
+                                 sent_index, first_line, spans)
+            continue
+        for i, lab in enumerate(column):
+            if lab != "O" and not _TYPE_RE.fullmatch(lab.partition("-")[2]):
+                raise ParseError(
+                    f"joint label {lab!r} lacks a valid type suffix",
+                    first_line + i)
+        types = sorted({lab.partition("-")[2] for lab in column if lab != "O"})
+        for event_type in types:
+            projected = [_project_joint(lab, event_type) for lab in column]
+            _decode_label_column(projected, lc.scheme, event_type,
+                                 sent_index, first_line, spans)
+    rows.clear()
+
+
+def parse_column_file(text: str) -> list[Document]:
+    """Parse a column-format stream into documents.
+
+    Tokens appearing before any `#! doc` directive go into an implicit
+    document with id "doc0".  Document ids must be unique and, like
+    surfaces, free of whitespace.
+    """
+    spec: _ColumnSpec | None = None
+    opened: list[tuple[str, list[Sentence], list[Span]]] = []
+    sentences: list[Sentence] = []
+    spans: list[Span] = []
+    doc_ids: set[str] = set()
+    rows: list[tuple[int, list[str]]] = []
+    for line_no, raw in enumerate(split_lines(text), 1):
+        if raw.startswith("#!"):
+            m = _DIRECTIVE_RE.match(raw)
+            if not m:
+                raise ParseError(f"malformed directive {raw!r}", line_no)
+            key, value = m.groups()
+            if key == "columns":
+                if spec is not None:
+                    raise ParseError("duplicate columns directive", line_no)
+                spec = _parse_columns_decl(value, line_no)
+            elif key == "doc":
+                if not value:
+                    raise ParseError("empty document id", line_no)
+                if any(ch.isspace() for ch in value):
+                    raise ParseError(
+                        f"whitespace in document id {value!r}", line_no)
+                if value in doc_ids:
+                    raise ParseError(f"duplicate document id {value!r}",
+                                     line_no)
+                _flush_sentence(spec, rows, sentences, spans)
+                sentences, spans = [], []
+                opened.append((value, sentences, spans))
+                doc_ids.add(value)
+            else:
+                raise ParseError(f"unknown directive {key!r}", line_no)
+        elif not raw.strip():
+            _flush_sentence(spec, rows, sentences, spans)
+        else:
+            if spec is None:
+                raise ParseError("token line before columns directive", line_no)
+            cells = raw.split("\t")
+            if len(cells) != len(spec.names):
+                raise ParseError(
+                    f"expected {len(spec.names)} columns, got {len(cells)}",
+                    line_no)
+            if not opened:
+                opened.append(("doc0", sentences, spans))
+                doc_ids.add("doc0")
+            rows.append((line_no, cells))
+    _flush_sentence(spec, rows, sentences, spans)
+    return [Document(doc_id, sentences, spans)
+            for doc_id, sentences, spans in opened]
+
+
+def _decode_label_column(column, scheme, event_type, sent_index, first_line, out):
+    for i, lab in enumerate(column):
+        if lab not in scheme.labels:
+            raise ParseError(
+                f"label {lab!r} not in scheme {scheme.name}", first_line + i)
+    try:
+        pairs = scheme.decode(column)
+    except SchemeValidityError as exc:
+        raise ParseError(
+            f"{scheme.name} violation for {event_type}: {exc.rule}",
+            first_line + exc.position) from None
+    for start, end in pairs:
+        out.append(Span(sent_index, start, end, event_type))

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spantag import synth
-from spantag.corpus import (PLACEHOLDER, Document, Span, Token,
+from spantag import corpus, synth
+from spantag.corpus import (PLACEHOLDER, Document, Sentence, Span, Token,
                             compute_profile, decode_document, encode_document,
                             ordered_event_types, parse_column_file,
                             write_column_file)
 from spantag.errors import ParseError, RepresentabilityError
 from spantag.schemes import SCHEME_NAMES, get_scheme
 
-from conftest import build_doc, build_sentence
+from conftest import build_doc, build_sentence, make_token
 
 IOB = get_scheme("IOB")
 IOBW = get_scheme("IOBW")
@@ -26,6 +26,16 @@ class TestModelValidation:
             Token("a b", "a b", "NN", "O")
         with pytest.raises(ValueError):
             Token("", "", "NN", "O")
+
+    def test_surface_check_agrees_with_str_isspace(self):
+        spaces = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+        assert len(spaces) == 29
+        for ch in spaces:
+            with pytest.raises(ValueError, match="bad token surface"):
+                Token(f"a{ch}b")
+        for cp in range(0x21, 0x110000, 97):
+            if not chr(cp).isspace():
+                assert Token(f"a{chr(cp)}b").surface == f"a{chr(cp)}b"
 
     def test_token_takes_no_offsets(self):
         with pytest.raises(TypeError):
@@ -132,6 +142,83 @@ class TestColumnFileRoundTrip:
             write_column_file([doc], get_scheme("IO"))
 
 
+class TestColumnFileWriterRejects:
+    @pytest.mark.parametrize("token,cell", [
+        (Token("#!x", "x", "NN", "O"), "surface '#!x'"),
+        (Token("a", "", "NN", "O"), "stem cell ''"),
+        (Token("a", "a", "", "O"), "pos cell ''"),
+        (Token("a", "a", "NN", ""), "chunk cell ''"),
+        (Token("a", "a\tb", "NN", "O"), "stem cell 'a\\tb'"),
+        (Token("a", "a", "N\nN", "O"), "pos cell 'N\\nN'"),
+        (Token("a", "a", "NN", "O\r"), "chunk cell 'O\\r'"),
+    ])
+    def test_unreadable_cells(self, token, cell):
+        doc = build_doc("d", [build_sentence(("ok", "NN", "O")),
+                              Sentence([make_token("ok"), token])])
+        with pytest.raises(ValueError, match="document 'd' sentence 1") as exc:
+            write_column_file([doc], IOB)
+        assert cell in str(exc.value)
+
+    @pytest.mark.parametrize("ids,message", [
+        (["d", ""], "document id '' is empty"),
+        (["a b"], "holds whitespace"),
+        (["a\x85b"], "holds whitespace"),
+        (["d", "e", "d"], "repeated document id 'd'"),
+    ])
+    def test_unreadable_document_ids(self, ids, message):
+        docs = [build_doc(i, [build_sentence(("a", "NN", "O"))]) for i in ids]
+        with pytest.raises(ValueError, match=message):
+            write_column_file(docs, IOB)
+
+    def test_sentence_without_tokens(self):
+        doc = build_doc("d", [build_sentence(("a", "NN", "O")), Sentence([])])
+        with pytest.raises(ValueError, match="'d' sentence 1 has no tokens"):
+            write_column_file([doc], IOB)
+
+    @pytest.mark.parametrize("types", [["PROBLEM", "PROBLEM"], ["A B"]])
+    def test_unwritable_event_types(self, types):
+        doc = build_doc("d", [build_sentence(("a", "NN", "O"))])
+        with pytest.raises(ValueError, match="event type"):
+            write_column_file([doc], IOB, types)
+
+    def test_search_checks_each_distinct_token_once(self, monkeypatch):
+        good, bad = make_token("a"), Token("b", "b", "", "O")
+        doc = build_doc("d", [Sentence([good, good]),
+                              Sentence([good, bad, bad])])
+        calls = []
+        real = corpus._check_writable
+        monkeypatch.setattr(corpus, "_check_writable",
+                            lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(ValueError, match="'d' sentence 1: pos cell ''"):
+            write_column_file([doc], IOB)
+        assert calls == [(good, "d", 0), (bad, "d", 1)]
+
+
+# cells and ids the reader reads back, mixed with ones it cannot
+_CELLS = st.sampled_from(["a", "b#", "_NIL_", "x y", "#!", "", "a\tb", "\r"])
+_SURFACES = st.one_of(st.sampled_from(["a", "b#", "_NIL_", "#!", "#!a"]),
+                      st.text("ab#!\t\x85", min_size=1, max_size=3))
+_IDS = st.sampled_from(["d", "e", "#!", "", "a b", "d\n"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(st.tuples(_SURFACES, _CELLS, _CELLS, _CELLS),
+                              max_size=3), min_size=1, max_size=3),
+       ids=st.lists(_IDS, min_size=1, max_size=3))
+def test_written_files_read_back_or_the_writer_raises(rows, ids):
+    try:
+        docs = [build_doc(doc_id, [Sentence([Token(*cells) for cells in sent])
+                                   for sent in rows])
+                for doc_id in ids]
+    except ValueError:
+        return  # not a token: empty surface or whitespace in it
+    try:
+        text = write_column_file(docs, IOB)
+    except ValueError:
+        return
+    assert parse_column_file(text) == docs
+
+
 class TestColumnFileParsing:
     def test_implicit_document_id(self):
         text = ("#! columns = surface\n"
@@ -154,6 +241,37 @@ class TestColumnFileParsing:
         token = doc.sentences[0].tokens[0]
         assert token.stem == "hop"
         assert token.chunk == PLACEHOLDER
+
+    def test_rows_with_equal_cells_share_one_token(self):
+        text = ("#! columns = surface stem pos chunk label:IOB:PROBLEM\n"
+                "#! doc = d1\na\ta\tNN\tO\tB\nb\tb\tNN\tO\tO\n\n"
+                "#! doc = d2\na\ta\tNN\tO\tO\na\ta\tVB\tO\tB\n"
+                "b\tb\tNN\tO\tO\n")
+        d1, d2 = parse_column_file(text)
+        (s0,), (s1,) = d1.sentences, d2.sentences
+        assert s1.tokens[0] is s0.tokens[0]
+        assert s1.tokens[2] is s0.tokens[1]
+        assert s1.tokens[1] is not s0.tokens[0]
+        assert s1.tokens[1] == Token("a", "a", "VB", "O")
+
+    def test_parses_share_no_token_and_sentences_no_list(self):
+        text = "#! columns = surface\na\nb\n\na\nb\n"
+        [first] = parse_column_file(text)
+        [second] = parse_column_file(text)
+        assert first == second
+        tokens = [t for doc in (first, second) for s in doc.sentences
+                  for t in s.tokens]
+        assert len({id(t) for t in tokens}) == 4
+        lists = [s.tokens for doc in (first, second) for s in doc.sentences]
+        assert len({id(x) for x in lists}) == 4
+
+    def test_stem_is_computed_once_per_distinct_row(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(corpus, "porter_stem",
+                            lambda word: calls.append(word) or word)
+        parse_column_file("#! columns = surface pos\n"
+                          "hop\tVB\nhop\tVB\n\nhop\tNN\nhop\tVB\n")
+        assert calls == ["hop", "hop"]
 
     def test_empty_optional_cells_become_placeholder(self):
         text = ("#! columns = surface stem pos chunk\n"

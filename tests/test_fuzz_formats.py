@@ -3,7 +3,11 @@
 Each case starts from a valid file, applies a few single-character
 inserts, deletions and replacements, and parses the mutant: it must
 parse, or fail with a ``SpantagError``; no other exception may escape.
+Column-file mutants must also read as the row-by-row reference reader
+in ``oracle`` reads them.
 """
+
+from functools import cache
 
 import numpy as np
 import pytest
@@ -14,12 +18,13 @@ from spantag import synth
 from spantag.corpus import Span, parse_column_file, write_column_file
 from spantag.crf import (CrfModel, FeatureAlphabet, intern, load_model,
                          save_model)
-from spantag.errors import SpantagError
+from spantag.errors import ParseError, SpantagError
 from spantag.features import parse_template
 from spantag.postprocess import parse_expander_config
 from spantag.schemes import get_scheme
 from spantag.stats import RunMatrix, parse_matrix
 
+import oracle
 from conftest import build_doc, build_sentence
 
 # digits, signs, separators, line breaks (and NEL and U+2028, which
@@ -102,3 +107,42 @@ def test_mutants_raise_only_spantag_errors(name, edits):
         parse(text)
     except SpantagError:
         pass
+
+
+@cache
+def _synth_column_file():
+    """20 default-profile documents, with a label column for each of the
+    five event types."""
+    docs = synth.generate(synth.default_profile(), 3, 20)
+    return write_column_file(docs, get_scheme("IOBW"))
+
+
+def _read(parse, text):
+    """The documents ``parse`` reads from ``text``, or the reason and
+    line of the ``ParseError`` it raises."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.reason, exc.line
+
+
+COLUMN_FILES = {
+    "column": _column_file,
+    "joint-column": _joint_column_file,
+    "synth-5-types": _synth_column_file,
+}
+
+
+@pytest.mark.parametrize("name", list(COLUMN_FILES))
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from("idr"), st.integers(0, 2**16),
+                                st.sampled_from(_MUTATION_CHARS)),
+                      min_size=1, max_size=6))
+def test_column_mutants_read_as_the_reference_reads_them(name, edits):
+    text = COLUMN_FILES[name]()
+    for op, at, char in edits:
+        at %= len(text) + 1
+        keep = at + (op != "i")
+        text = text[:at] + ("" if op == "d" else char) + text[keep:]
+    assert _read(parse_column_file, text) == \
+        _read(oracle.parse_column_file, text)
