@@ -172,11 +172,13 @@ def _add_trainer_flags(parser: argparse.ArgumentParser) -> None:
                         help="feature template file (default: built-in)")
     parser.add_argument("--no-transitions", action="store_true",
                         help="drop label-bigram transition weights")
-    parser.add_argument("--C", type=float, default=1.0,
-                        help="regularization strength (default 1.0)")
-    parser.add_argument("--eta", type=float, default=1e-4,
+    defaults = crf.TrainerConfig()
+    parser.add_argument("--C", type=float, default=defaults.C,
+                        help=f"regularization strength (default {defaults.C})")
+    parser.add_argument("--eta", type=float, default=defaults.eta,
                         help="relative-improvement stop threshold")
-    parser.add_argument("--max-iter", type=int, default=500,
+    parser.add_argument("--max-iter", type=int,
+                        default=defaults.max_iterations,
                         help="optimizer iteration cap")
 
 
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, metavar="PATH")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--models", default="IO,IOB,IOBW,IOBW+",
+    p.add_argument("--models", default=",".join(stats.MODEL_NAMES),
                    metavar="A,B,...",
                    help="model configurations to compare")
     p.add_argument("--types", metavar="A,B,...",

@@ -68,11 +68,9 @@ class TrainerConfig:
     C: float = 1.0
     eta: float = 1e-4
     max_iterations: int = 500
-    lbfgs_memory: int = 10
 
     def __post_init__(self):
         check_count("max_iterations", self.max_iterations, 1)
-        check_count("lbfgs_memory", self.lbfgs_memory, 1)
         for name in ("C", "eta"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
@@ -332,24 +330,19 @@ _GATHER_POSITIONS = 512  # per gather; keeps its temporary cache-sized
 _TAG_POSITIONS = 2048
 
 
-def instance_lattice(w_node: np.ndarray, ids: np.ndarray,
-                     unseen: bool = False) -> np.ndarray:
+def instance_lattice(w_node: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Node scores of a batch of instances' lattices: the summed weight
     rows of each position's feature ids, where row p of the (positions,
-    rules) matrix ``ids`` holds the ids of position p.  With ``unseen``,
-    an id of -1 marks a feature unseen in training, which scores zero.
-    Every edge of every lattice holds the same transition weights, so
-    none is built."""
+    rules) matrix ``ids`` holds the ids of position p.  Every edge of
+    every lattice holds the same transition weights, so none is built."""
     n, n_rules = ids.shape
     node = np.zeros((n, w_node.shape[1]))
-    if not (n_rules and len(w_node)):  # no rules, or no feature weights
+    if not n_rules:  # transitions only: every node scores zero
         return node
     starts = np.arange(_GATHER_POSITIONS) * n_rules
     for lo in range(0, n, _GATHER_POSITIONS):
         part = ids[lo:lo + _GATHER_POSITIONS].ravel()
         rows = np.take(w_node, part, axis=0)
-        if unseen:
-            rows[part < 0] = 0.0
         node[lo:lo + _GATHER_POSITIONS] = np.add.reduceat(
             rows, starts[:len(part) // n_rules], axis=0)
     return node
@@ -472,8 +465,8 @@ class BatchedObjective:
             return math.inf, None  # outside the domain: a rejected trial
         log_z, backward = self._scaled(instance_lattice(w_node, self.ids),
                                        w_trans)
-        value = log_z - float(np.dot(weights, self.empirical))
-        value += float(np.dot(weights, weights)) / (2.0 * self.C)
+        value = log_z - optim.dot(weights, self.empirical)
+        value += optim.dot(weights, weights) / (2.0 * self.C)
         if not np.isfinite(value):
             raise NumericError("non-finite objective evaluation")
         return value, partial(self.gradient, weights, backward)
@@ -573,10 +566,10 @@ class CrfModel:
     def _decode(self, ids: np.ndarray, lengths: np.ndarray) -> list[list[str]]:
         """Label rows of a batch of sentences, from their (positions,
         rules) feature ids and token counts; an id of -1 marks a feature
-        unseen in training, which scores zero."""
+        unseen in training, which gathers an appended zero row."""
         w_node, w_trans = self.alphabet.split(self.weights)
-        path = viterbi(instance_lattice(w_node, ids, unseen=True), lengths,
-                       w_trans)
+        w_node = np.vstack((w_node, np.zeros((1, w_node.shape[1]))))
+        path = viterbi(instance_lattice(w_node, ids), lengths, w_trans)
         labels = np.array(self.alphabet.labels, dtype=object)[path].tolist()
         ends = np.cumsum(lengths).tolist()
         return [labels[end - n:end] for n, end in zip(lengths.tolist(), ends)]
@@ -623,10 +616,9 @@ def train(docs: list[Document] | EncodedCorpus, template: FeatureTemplate,
                                encoded.feat_index)
     objective = BatchedObjective(alphabet, encoded.ids, encoded.lengths, gold,
                                  config.C)
-    weights, log = optim.minimize(
-        objective, np.zeros(alphabet.dim),
-        memory=config.lbfgs_memory, eta=config.eta,
-        max_iterations=config.max_iterations)
+    weights, log = optim.minimize(objective, np.zeros(alphabet.dim),
+                                  eta=config.eta,
+                                  max_iterations=config.max_iterations)
     return CrfModel(alphabet, weights, scheme, template, event_type, log)
 
 

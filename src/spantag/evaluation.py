@@ -152,11 +152,7 @@ def evaluate(gold_by_doc: dict[str, list[Span]],
 
 
 def f1_scores(gold_by_doc, system_by_doc, event_type) -> tuple[float, float]:
-    """(strict F1, lenient F1) for one event type — the cross-validation
-    harness's per-fold numbers."""
-    report = evaluate(gold_by_doc, system_by_doc, [event_type])
-    strict = next(c for c in report.rows
-                  if c.event_type == event_type and c.mode == "strict")
-    lenient = next(c for c in report.rows
-                   if c.event_type == event_type and c.mode == "lenient")
-    return strict.f1, lenient.f1
+    """(strict F1, lenient F1) for one event type, in ``MODES`` order —
+    the cross-validation harness's per-fold numbers."""
+    rows = evaluate(gold_by_doc, system_by_doc, [event_type]).rows
+    return tuple(c.f1 for c in rows[:len(MODES)])  # the type's rows lead

@@ -26,6 +26,7 @@ uphill or its line search fails, the history is reset and the
 iteration retried along -g, and a failure with no history raises.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,13 @@ class IterationLog:
         self.entries.append((iteration, value, grad_norm, step))
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two 1-D arrays, summed in numpy's own order.  BLAS's dot
+    sums in an order that depends on its thread count, and every iterate,
+    and so every model file, would inherit it."""
+    return float(np.einsum("i,i", a, b))
+
+
 def _two_loop(grad, S, Y, rho, order):
     """Implicit product of the L-BFGS inverse Hessian with the gradient,
     over the history slots in ``order`` (oldest first)."""
@@ -59,13 +67,13 @@ def _two_loop(grad, S, Y, rho, order):
     buf = np.empty_like(q)
     alphas = []
     for i in reversed(order):
-        a = rho[i] * float(np.dot(S[i], q))
+        a = rho[i] * dot(S[i], q)
         alphas.append(a)
         q -= np.multiply(a, Y[i], out=buf)
     s, y = S[order[-1]], Y[order[-1]]
-    q *= float(np.dot(s, y)) / float(np.dot(y, y))
+    q *= dot(s, y) / dot(y, y)
     for i, a in zip(order, reversed(alphas)):
-        b = rho[i] * float(np.dot(Y[i], q))
+        b = rho[i] * dot(Y[i], q)
         q += np.multiply(a - b, S[i], out=buf)
     return q
 
@@ -106,7 +114,7 @@ def minimize(fun, x0, *, memory: int = 10, eta: float = 1e-4,
                 np.negative(direction, out=direction)
             else:
                 direction = -g
-            slope = float(np.dot(g, direction))
+            slope = dot(g, direction)
             if slope <= 0:
                 step, f_new, gradient = _line_search(fun, x, f, direction,
                                                      slope, log, trial)
@@ -124,14 +132,15 @@ def minimize(fun, x0, *, memory: int = 10, eta: float = 1e-4,
         slot = next(i for i in range(memory + 1) if i not in order)
         s = np.subtract(trial, x, out=S[slot])
         y = np.subtract(g_new, g, out=Y[slot])
-        if float(np.dot(s, y)) > _CURVATURE_EPS:
-            rho[slot] = 1.0 / float(np.dot(y, s))
+        curvature = dot(s, y)
+        if curvature > _CURVATURE_EPS:
+            rho[slot] = 1.0 / curvature
             order.append(slot)
             if len(order) > memory:
                 order.pop(0)
 
         rel = (f - f_new) / max(abs(f), 1e-12)
-        log.add(iteration, f_new, float(np.linalg.norm(g_new)), step)
+        log.add(iteration, f_new, math.sqrt(dot(g_new, g_new)), step)
         x, trial, f, g = trial, x, f_new, g_new
 
         flat_count = flat_count + 1 if rel < eta else 0

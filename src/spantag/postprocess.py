@@ -10,7 +10,7 @@ adjacent noun/noun-phrase tokens and determiners.  `pipeline_spans`
 segments each predicted row once and applies both steps to the segments.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .corpus import Document, Sentence, Span
 from .errors import ParseError, split_lines
@@ -35,8 +35,7 @@ class ExpanderConfig:
     enabled_event_types: frozenset[str] = DEFAULT_EXPANDED_TYPES
 
 
-_CONFIG_KEYS = ("noun_pos_tags", "np_chunk_tags", "determiner_lexicon",
-                "enabled_event_types")
+_CONFIG_KEYS = tuple(f.name for f in fields(ExpanderConfig))
 
 
 def parse_expander_config(text: str) -> ExpanderConfig:

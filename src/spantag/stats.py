@@ -25,7 +25,7 @@ from . import crf
 from .corpus import _TYPE_RE, Document
 from .errors import (ConfigError, NumericError, ParseError, check_count,
                      split_lines)
-from .evaluation import f1_scores
+from .evaluation import MODES, f1_scores
 from .features import FeatureTemplate
 from .postprocess import ExpanderConfig, pipeline_spans
 from .rng import SplitMix64, derive_seed
@@ -40,8 +40,6 @@ MODEL_CONFIGS = {
 }
 
 MODEL_NAMES = tuple(MODEL_CONFIGS)
-
-CRITERIA = ("strict", "lenient")
 
 
 # --- special functions ---------------------------------------------------
@@ -213,7 +211,7 @@ class RunMatrix:
         default_factory=dict)
 
     def values(self, event_type: str, model: str, criterion: str) -> list[float]:
-        pos = CRITERIA.index(criterion)
+        pos = MODES.index(criterion)
         return [pair[pos] for pair in self.scores[(event_type, model)]]
 
     def tsv(self) -> str:
@@ -404,7 +402,7 @@ def experiment_report(matrix: RunMatrix) -> str:
     lines = []
     n = matrix.repeats * matrix.folds
     for event_type in matrix.event_types:
-        for criterion in CRITERIA:
+        for criterion in MODES:
             lines.append(f"== {event_type} / {criterion} F1 "
                          f"(n = {n} folds per model) ==")
             groups = {m: matrix.values(event_type, m, criterion)

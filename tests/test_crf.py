@@ -3,6 +3,10 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -692,11 +696,9 @@ class TestTraining:
             train(docs, default_template(), get_scheme("IO"), "PROBLEM")
 
     @pytest.mark.parametrize("kwargs", [
-        {"C": 0.0}, {"C": -1.0}, {"eta": 0.0},
-        {"max_iterations": 0}, {"lbfgs_memory": 0},
+        {"C": 0.0}, {"C": -1.0}, {"eta": 0.0}, {"max_iterations": 0},
         {"C": math.nan}, {"C": math.inf}, {"eta": math.nan}, {"eta": math.inf},
-        {"max_iterations": 2.5}, {"lbfgs_memory": 1.5},
-        {"max_iterations": 10.0}, {"lbfgs_memory": True},
+        {"max_iterations": 2.5}, {"max_iterations": 10.0},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -1047,26 +1049,31 @@ class TestModelTagging:
 
 # --- pinned end-to-end bytes -----------------------------------------------------
 
+def golden_training(transitions: bool):
+    """The pinned training: (documents, IOBW model of the first 20)."""
+    docs = synth.generate(synth.default_profile(), 2024, 30)
+    model = train(docs[:20], default_template(transitions=transitions),
+                  get_scheme("IOBW"), "PROBLEM", TrainerConfig(max_iterations=15))
+    return docs, model
+
+
 def test_golden_digests():
     """synth -> train -> save_model -> load_model -> tag -> write_column_file.
 
     The tagged-file digest was computed before the batched decoder and
     the time-major objective replaced the per-sentence paths, so it pins
     the output bytes across such rewrites.  The model-file digest was
-    re-pinned when the objective moved to scaled forward-backward, and
-    again when the node gradient moved to the time-major row order: each
-    time the summation order changed, and with it the last bits of the
-    weights, but not one tag.  Both hold for one numpy build: a different exp/log
-    implementation may change the last bits of the weights, and the
-    digests must then be recomputed on the parent commit.  They also
-    depend on the OpenBLAS thread count: single-threaded, 1-D ``np.dot``
-    and ``np.linalg.norm`` over tens of thousands of entries sum in
-    another order, and the model-file digest fails at
-    ``OPENBLAS_NUM_THREADS=1`` (it passes at 2, 3 and 4 threads).
+    re-pinned when the objective moved to scaled forward-backward, when
+    the node gradient moved to the time-major row order, and when the
+    optimizer's and the objective's 1-D dot products moved from BLAS to
+    ``optim.dot``: each time the summation order changed, and with it
+    the last bits of the weights, but not one tag.  Both hold for one
+    numpy build: a different exp/log or einsum implementation may change
+    the last bits of the weights, and the digests must then be
+    recomputed on the parent commit.  They do not depend on the BLAS
+    thread count (``test_model_bytes_do_not_depend_on_blas_threads``).
     """
-    docs = synth.generate(synth.default_profile(), 2024, 30)
-    model = train(docs[:20], default_template(transitions=True),
-                  get_scheme("IOBW"), "PROBLEM", TrainerConfig(max_iterations=15))
+    docs, model = golden_training(transitions=True)
     text = save_model(model)
     clone = load_model(text)
     tagged = [Document(d.id, d.sentences,
@@ -1075,7 +1082,7 @@ def test_golden_digests():
               for d in docs[20:]]
     out = write_column_file(tagged, clone.scheme, ["PROBLEM"])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "8ebe8a87a6010a4935f5e3eedb949998a0ce5503fd10657faa2bda5a58d38c40")
+        "1194ca76c428424e905d63c88bda430f7e30160349b605873588324f93fba2c0")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a906f8cd2728672c0280059309ed303829e2d149fcbb43036f822dbe5d584a8f")
 
@@ -1083,13 +1090,32 @@ def test_golden_digests():
 def test_golden_digest_without_transitions():
     """The model-file bytes of a transitions-off training, which takes the
     forward pass's no-transitions branch (each alpha row is its node row
-    normalized, with no step loop).  Re-pinned when the node gradient
-    moved to the time-major row order; the same numpy build and BLAS
-    thread-count caveats as above apply (it fails at
-    ``OPENBLAS_NUM_THREADS=1``)."""
-    docs = synth.generate(synth.default_profile(), 2024, 30)
-    model = train(docs[:20], default_template(transitions=False),
-                  get_scheme("IOBW"), "PROBLEM", TrainerConfig(max_iterations=15))
+    normalized, with no step loop).  Re-pinned with the digest above; the
+    same numpy-build caveat applies."""
+    _, model = golden_training(transitions=False)
     assert not model.alphabet.transitions
     assert hashlib.sha256(save_model(model).encode()).hexdigest() == (
-        "6c15376a65426d7b0bcb6098aa53552243166d9edcaffefde919a5329df6fc71")
+        "09b098121ee59898110c9509b7acf8d2658047c43d2c9e8bdb29a3e8865ea7d6")
+
+
+def test_model_bytes_do_not_depend_on_blas_threads():
+    """Both golden trainings write the same model files at one and at two
+    OpenBLAS threads.  The thread count is read when numpy loads, so each
+    training runs in a fresh interpreter."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(map(str, (here, here.parent / "src")))
+    script = ("import hashlib\n"
+              "from spantag.crf import save_model\n"
+              "from test_crf import golden_training\n"
+              "for transitions in (True, False):\n"
+              "    text = save_model(golden_training(transitions)[1])\n"
+              "    print(hashlib.sha256(text.encode()).hexdigest())\n")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]

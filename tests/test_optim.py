@@ -4,6 +4,7 @@ Every objective here follows the minimizer's protocol: ``fun(x)`` returns
 (value, gradient function).
 """
 
+import math
 import weakref
 
 import numpy as np
@@ -193,14 +194,14 @@ def _oracle_two_loop(grad, s_list, y_list, rho_list):
     buf = np.empty_like(q)
     alphas = []
     for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
-        a = rho * float(np.dot(s, q))
+        a = rho * optim.dot(s, q)
         alphas.append(a)
         q -= np.multiply(a, y, out=buf)
     s, y = s_list[-1], y_list[-1]
-    gamma = float(np.dot(s, y)) / float(np.dot(y, y))
+    gamma = optim.dot(s, y) / optim.dot(y, y)
     q *= gamma
     for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
-        b = rho * float(np.dot(y, q))
+        b = rho * optim.dot(y, q)
         q += np.multiply(a - b, s, out=buf)
     return q
 
@@ -239,13 +240,13 @@ def oracle_minimize(fun, x0, *, memory=10, eta=1e-4, max_iterations=500,
             np.negative(direction, out=direction)
         else:
             direction = -g
-        slope = float(np.dot(g, direction))
+        slope = optim.dot(g, direction)
         if slope > 0:
             s_list.clear()
             y_list.clear()
             rho_list.clear()
             direction = -g
-            slope = -float(np.dot(g, g))
+            slope = -optim.dot(g, g)
         step, f_new, gradient = _oracle_line_search(fun, x, f, direction,
                                                     slope, log, trial)
         if step is None:
@@ -254,7 +255,7 @@ def oracle_minimize(fun, x0, *, memory=10, eta=1e-4, max_iterations=500,
                 y_list.clear()
                 rho_list.clear()
                 direction = -g
-                slope = -float(np.dot(g, g))
+                slope = -optim.dot(g, g)
                 step, f_new, gradient = _oracle_line_search(
                     fun, x, f, direction, slope, log, trial)
             if step is None:
@@ -263,10 +264,10 @@ def oracle_minimize(fun, x0, *, memory=10, eta=1e-4, max_iterations=500,
         g_new = gradient()
         s = trial - x
         y = g_new - g
-        if float(np.dot(s, y)) > 1e-12:
+        if optim.dot(s, y) > 1e-12:
             s_list.append(s)
             y_list.append(y)
-            rho_list.append(1.0 / float(np.dot(y, s)))
+            rho_list.append(1.0 / optim.dot(y, s))
             if len(s_list) > memory:
                 s_list.pop(0)
                 y_list.pop(0)
@@ -274,7 +275,7 @@ def oracle_minimize(fun, x0, *, memory=10, eta=1e-4, max_iterations=500,
         elif len(s_list) == memory and rejected_when_full is not None:
             rejected_when_full.append(iteration)
         rel = (f - f_new) / max(abs(f), 1e-12)
-        log.add(iteration, f_new, float(np.linalg.norm(g_new)), step)
+        log.add(iteration, f_new, math.sqrt(optim.dot(g_new, g_new)), step)
         x, trial, f, g = trial, x, f_new, g_new
         flat_count = flat_count + 1 if rel < eta else 0
         if flat_count >= 3:
