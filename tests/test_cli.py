@@ -1,5 +1,6 @@
 """Command-line behavior: end-to-end flows, formats, and exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import spantag
 from spantag import corpus, crf, stats, synth
 from spantag.cli import main
+from spantag.features import default_template
 from spantag.postprocess import ExpanderConfig, pipeline_spans
 from spantag.schemes import get_scheme
 
@@ -211,6 +213,23 @@ class TestTrainCommand:
         model = crf.load_model(path.read_text("utf-8"))
         assert model.event_type == "BETA"
         assert model.scheme.name == "IOBW"
+
+    def test_default_flags_train_as_the_default_config(self, workdir,
+                                                        corpus_file):
+        # no trainer flags: the model of ``crf.train`` under TrainerConfig()
+        path = workdir / "defaults.model"
+        rc = main(["train", "--input", str(corpus_file), "--model", str(path),
+                   "--type", "ALPHA"])
+        assert rc == 0
+        docs = corpus.parse_column_file(corpus_file.read_text("utf-8"))
+        config = crf.TrainerConfig()
+        model = crf.train(docs, default_template(transitions=True),
+                          get_scheme("IOB"), "ALPHA", config)
+        # stopped by eta well inside the iteration cap
+        assert model.log.converged
+        assert model.log.iterations < config.max_iterations // 10
+        want = hashlib.sha256(crf.save_model(model).encode()).hexdigest()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
     def test_no_transitions_flag(self, workdir, corpus_file):
         path = workdir / "notrans.model"

@@ -1115,7 +1115,8 @@ def test_model_bytes_do_not_depend_on_blas_threads():
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": path}
         proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, check=True)
+                              capture_output=True, text=True, check=True,
+                              timeout=300)
         digests.append(proc.stdout.split())
     assert len(digests[0]) == 2
     assert digests[0] == digests[1]

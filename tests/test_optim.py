@@ -307,6 +307,16 @@ def assert_same_run(fun, x0, **options):
     assert got_log == want_log
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 22_380])
+def test_dot_is_symmetric_and_exact_to_rounding(n):
+    # the curvature test and rho share one product, s . y = y . s
+    a, b = np.random.default_rng(n).normal(size=(2, n))
+    assert optim.dot(a, b) == optim.dot(b, a)
+    exact = math.fsum(a * b)
+    assert abs(optim.dot(a, b) - exact) <= 4 * n * np.finfo(float).eps * (
+        math.fsum(np.abs(a * b)))
+
+
 class TestByteIdentity:
     @pytest.mark.parametrize("memory", [1, 2, 10])
     def test_rosenbrock(self, memory):
