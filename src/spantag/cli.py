@@ -61,12 +61,6 @@ def _trainer_config(args) -> crf.TrainerConfig:
                              max_iterations=args.max_iter)
 
 
-def _check_post(post: str, scheme_name: str) -> None:
-    if post == "iobw+" and scheme_name != "IOBW":
-        raise ConfigError(
-            f"post-processing iobw+ requires scheme IOBW, not {scheme_name}")
-
-
 def _parse_list(value: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in value.split(",") if part.strip())
 
@@ -89,7 +83,6 @@ def _load_corpus(path: str) -> list[corpus.Document]:
 
 def cmd_train(args) -> int:
     scheme = get_scheme(args.scheme)
-    _check_post(args.post, scheme.name)
     template = _load_template(args)
     docs = _load_corpus(args.input)
     model = crf.train(docs, template, scheme, args.type,
@@ -104,7 +97,9 @@ def cmd_train(args) -> int:
 
 def cmd_tag(args) -> int:
     model = crf.load_model(_read_text(args.model, "model"))
-    _check_post(args.post, model.scheme.name)
+    if args.post == "iobw+" and model.scheme.name != "IOBW":
+        raise ConfigError("post-processing iobw+ requires scheme IOBW, "
+                          f"not {model.scheme.name}")
     expander = _load_expander(args)
     docs = _load_corpus(args.input)
     tagged = []
@@ -206,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="event type to model")
     p.add_argument("--scheme", choices=SCHEME_NAMES, default="IOB")
     _add_trainer_flags(p)
-    p.add_argument("--post", choices=POST_MODES, default="none",
-                   help="validated for scheme compatibility")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("tag", help="label a corpus with a trained model")

@@ -316,11 +316,8 @@ def _poisson(rng: SplitMix64, rate: float, cap: int) -> int:
         k += 1
 
 
-@dataclass
-class _TokenDraft:
-    surface: str
-    pos: str
-    chunk: str
+def _token(surface: str, pos: str, chunk: str) -> Token:
+    return Token(surface, porter_stem(surface), pos, chunk)
 
 
 class _Generator:
@@ -359,58 +356,57 @@ class _Generator:
                     ps.append(p)
             self.content_lengths[t] = (ks, ps)
 
-    def _background_token(self) -> _TokenDraft:
+    def _background_token(self) -> Token:
         vocab = self.profile.background_vocab
         surface = "bg" + _base26(self.rng.randrange(vocab))
         if self.rng.bernoulli(self.profile.pos_noise):
-            return _TokenDraft(surface, "NN", "B-NP")
+            return _token(surface, "NN", "B-NP")
         pos = _BACKGROUND_POS[self.rng.randrange(len(_BACKGROUND_POS))]
-        return _TokenDraft(surface, pos, "O")
+        return _token(surface, pos, "O")
 
     def _entity_pos(self) -> str:
         if self.rng.bernoulli(self.profile.pos_noise):
             return "JJ"
         return _NOUN_POS[self.rng.randrange(len(_NOUN_POS))]
 
-    def _mention(self, event_type: str) -> list[_TokenDraft]:
+    def _mention(self, event_type: str) -> list[Token]:
         spec = self.profile.events[event_type]
         if self.rng.uniform() < spec.acronym_fraction:
             word = self.acronyms[event_type].draw(self.rng)
-            return [_TokenDraft(word, "NN", "B-NP")]
+            return [_token(word, "NN", "B-NP")]
         ks, ps = self.content_lengths[event_type]
         length = ks[self.rng.categorical(ps)]
-        drafts = []
+        tokens = []
         if length >= 2 and self.rng.bernoulli(self.profile.determiner_fraction):
             det = _DETERMINERS[self.rng.randrange(len(_DETERMINERS))]
-            drafts.append(_TokenDraft(det, "DT", "B-NP"))
-        while len(drafts) < length:
+            tokens.append(_token(det, "DT", "B-NP"))
+        while len(tokens) < length:
             word = self.content[event_type].draw(self.rng)
-            chunk = "B-NP" if not drafts else "I-NP"
-            drafts.append(_TokenDraft(word, self._entity_pos(), chunk))
-        return drafts
+            chunk = "B-NP" if not tokens else "I-NP"
+            tokens.append(_token(word, self._entity_pos(), chunk))
+        return tokens
 
     def _sentence(self, sentence_index: int, spans: list[Span]) -> Sentence:
         n_mentions = _poisson(self.rng, self.profile.mention_rate, cap=4)
-        drafts: list[_TokenDraft] = []
+        tokens: list[Token] = []
 
         def background_run(min_len: int = 1):
             for _ in range(min_len + self.rng.randrange(3)):
-                drafts.append(self._background_token())
+                tokens.append(self._background_token())
 
         background_run()
         for _ in range(n_mentions):
             event_type = self.types[self.rng.categorical(self.type_weights)]
             if self.rng.bernoulli(self.profile.trigger_fraction):
                 cues = self.triggers[event_type]
-                drafts.append(_TokenDraft(cues[self.rng.randrange(len(cues))],
-                                          "VB", "O"))
+                tokens.append(_token(cues[self.rng.randrange(len(cues))],
+                                     "VB", "O"))
             mention = self._mention(event_type)
-            start = len(drafts)
-            drafts.extend(mention)
-            spans.append(Span(sentence_index, start, len(drafts), event_type))
+            start = len(tokens)
+            tokens.extend(mention)
+            spans.append(Span(sentence_index, start, len(tokens), event_type))
             background_run()  # keeps mentions separated for every scheme
-        return Sentence([Token(draft.surface, porter_stem(draft.surface),
-                               draft.pos, draft.chunk) for draft in drafts])
+        return Sentence(tokens)
 
     def document(self, index: int) -> Document:
         spans: list[Span] = []

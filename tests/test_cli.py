@@ -238,13 +238,6 @@ class TestTrainCommand:
         assert rc == 0
         assert "transitions = false" in path.read_text("utf-8")
 
-    def test_post_flag_must_match_scheme(self, workdir, corpus_file, capsys):
-        rc = main(["train", "--input", str(corpus_file),
-                   "--model", str(workdir / "never.model"),
-                   "--type", "ALPHA", "--scheme", "IOB", "--post", "iobw+"])
-        assert rc == 2
-        assert "requires scheme IOBW" in capsys.readouterr().err
-
     def test_missing_template_is_a_config_error(self, workdir, corpus_file,
                                                 capsys):
         rc = main(["train", "--input", str(corpus_file),

@@ -144,19 +144,27 @@ class TestColumnFileRoundTrip:
 
 class TestColumnFileWriterRejects:
     @pytest.mark.parametrize("token,cell", [
-        (Token("#!x", "x", "NN", "O"), "surface '#!x'"),
-        (Token("a", "", "NN", "O"), "stem cell ''"),
-        (Token("a", "a", "", "O"), "pos cell ''"),
-        (Token("a", "a", "NN", ""), "chunk cell ''"),
-        (Token("a", "a\tb", "NN", "O"), "stem cell 'a\\tb'"),
-        (Token("a", "a", "N\nN", "O"), "pos cell 'N\\nN'"),
-        (Token("a", "a", "NN", "O\r"), "chunk cell 'O\\r'"),
+        (("#!x", "x", "NN", "O"), "surface '#!x'"),
+        (("a", "", "NN", "O"), "stem cell ''"),
+        (("a", "a", "", "O"), "pos cell ''"),
+        (("a", "a", "NN", ""), "chunk cell ''"),
+        (("a", "a\tb", "NN", "O"), "stem cell 'a\\tb'"),
+        (("a", "a", "N\nN", "O"), "pos cell 'N\\nN'"),
+        (("a", "a", "NN", "O\r"), "chunk cell 'O\\r'"),
     ])
     def test_unreadable_cells(self, token, cell):
-        doc = build_doc("d", [build_sentence(("ok", "NN", "O")),
-                              Sentence([make_token("ok"), token])])
-        with pytest.raises(ValueError, match="document 'd' sentence 1") as exc:
-            write_column_file([doc], IOB)
+        # a bad stem, pos or chunk cell fails when its Token is built; a
+        # "#!" surface, which the reader accepts past the first column,
+        # fails when the writer would start a line with it
+        if token[0].startswith("#!"):
+            doc = build_doc("d", [build_sentence(("ok", "NN", "O")),
+                                  Sentence([make_token("ok"), Token(*token)])])
+            with pytest.raises(ValueError,
+                               match="document 'd' sentence 1") as exc:
+                write_column_file([doc], IOB)
+        else:
+            with pytest.raises(ValueError) as exc:
+                Token(*token)
         assert cell in str(exc.value)
 
     @pytest.mark.parametrize("ids,message", [
@@ -180,18 +188,6 @@ class TestColumnFileWriterRejects:
         doc = build_doc("d", [build_sentence(("a", "NN", "O"))])
         with pytest.raises(ValueError, match="event type"):
             write_column_file([doc], IOB, types)
-
-    def test_search_checks_each_distinct_token_once(self, monkeypatch):
-        good, bad = make_token("a"), Token("b", "b", "", "O")
-        doc = build_doc("d", [Sentence([good, good]),
-                              Sentence([good, bad, bad])])
-        calls = []
-        real = corpus._check_writable
-        monkeypatch.setattr(corpus, "_check_writable",
-                            lambda *a: calls.append(a) or real(*a))
-        with pytest.raises(ValueError, match="'d' sentence 1: pos cell ''"):
-            write_column_file([doc], IOB)
-        assert calls == [(good, "d", 0), (bad, "d", 1)]
 
 
 # cells and ids the reader reads back, mixed with ones it cannot

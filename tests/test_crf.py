@@ -14,8 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spantag import crf, synth
-from spantag.corpus import (Document, Sentence, Span, encode_document,
-                            write_column_file)
+from spantag.corpus import (Document, Sentence, Span, Token,
+                            encode_document, write_column_file)
 from spantag.crf import (
     BatchedObjective,
     CrfModel,
@@ -49,6 +49,18 @@ from oracle import (
     string_ids,
     viterbi,
 )
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want`` for two model texts.  A failure names the first
+    differing line instead of leaving pytest to diff the whole texts,
+    which takes minutes."""
+    if got != want:
+        lines = itertools.zip_longest(got.split("\n"), want.split("\n"))
+        line_no, (a, b) = next((i, pair) for i, pair in enumerate(lines, 1)
+                               if pair[0] != pair[1])
+        pytest.fail(f"texts differ first at line {line_no}: {a!r} != {b!r}",
+                    pytrace=False)
 
 
 # --- enumeration oracle -----------------------------------------------------
@@ -505,7 +517,7 @@ class TestFoldEncoding:
                        config)
         model = train(train_docs, template, get_scheme(scheme), "PROBLEM",
                       config)
-        assert save_model(shared) == save_model(model)
+        assert_same_text(save_model(shared), save_model(model))
         rows = shared._decode(test_part.ids, test_part.lengths)
         assert by_document(rows, test_docs) == [model.tag(d) for d in test_docs]
 
@@ -740,7 +752,31 @@ class TestModelFile:
     def test_round_trip_is_byte_stable(self, trained):
         _, model = trained
         text = save_model(model)
-        assert save_model(load_model(text)) == text
+        assert_same_text(save_model(load_model(text)), text)
+
+    def test_every_buildable_cell_round_trips(self):
+        # \x85, \x0b, \x0c and \u2028 end no model line, so a model of
+        # cells holding them loads; \t, \n and \r would split a weight
+        # row, and no Token holds them
+        odd = ("\x85", "\x0b", "\x0c", "\u2028")
+        docs = [build_doc(f"d{i}", [Sentence([
+            Token("the", f"th{ch}e", f"D{ch}T", f"B{ch}NP"),
+            Token("fever", f"fev{ch}er", f"N{ch}N", f"I{ch}NP"),
+            Token("subsided", "subsid", f"V{ch}B", "O")])],
+            [Span(0, 0, 2, "PROBLEM")]) for i, ch in enumerate(odd)]
+        model = train(docs, default_template(transitions=True),
+                      get_scheme("IOB"), "PROBLEM",
+                      TrainerConfig(max_iterations=20))
+        text = save_model(model)
+        assert all(ch in text for ch in odd)
+        clone = load_model(text)
+        assert np.array_equal(clone.weights, model.weights)
+        assert_same_text(save_model(clone), text)
+        for ch, cell in itertools.product("\t\n\r", range(1, 4)):
+            cells = ["a", "a", "NN", "O"]
+            cells[cell] = f"x{ch}y"
+            with pytest.raises(ValueError, match="cell"):
+                Token(*cells)
 
     def test_form_feed_template_line_round_trips(self):
         # str.splitlines breaks at \x0c; only \n, \r\n and \r end a line
@@ -752,7 +788,7 @@ class TestModelFile:
         clone = load_model(text)
         assert clone.template.text == template.text
         assert np.array_equal(clone.weights, model.weights)
-        assert save_model(clone) == text
+        assert_same_text(save_model(clone), text)
         for doc in docs:
             assert clone.tag(doc) == model.tag(doc)
 
@@ -791,7 +827,7 @@ class TestModelFile:
         clone = load_model(text)
         assert clone.weights.tobytes() == weights.tobytes()  # -0.0 included
         assert list(clone.alphabet.feat_index) == features
-        assert save_model(clone) == text
+        assert_same_text(save_model(clone), text)
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ParseError) as exc:

@@ -72,6 +72,7 @@ class TestStructure:
         for _ in range(2000):
             word = "".join(letters[rng.randrange(26)]
                            for _ in range(1 + rng.randrange(12)))
+            assert stem(word)  # Token rejects an empty stem cell
             assert len(stem(word)) <= len(word)
             assert stem(word) == stem(word).lower()
 
