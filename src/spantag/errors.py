@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the toolkit, the line splitter that
-numbers every reader's lines, and the check that a count setting is an
-integer in range."""
+numbers every reader's lines, and the checks that a count or seed setting
+is an integer in range."""
 
 from numbers import Integral
 
@@ -58,6 +58,15 @@ def check_count(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_seed(value) -> None:
+    """Raise ``ConfigError`` unless ``value`` is an integer in [0, 2**64),
+    the seeds ``SplitMix64`` tells apart; it masks any other integer onto
+    one of them, so ``2**64`` would silently repeat seed 0."""
+    check_count("seed", value, 0)
+    if value >= 2**64:
+        raise ConfigError(f"seed must be < 2**64, got {value}")
 
 
 class TrainingError(SpantagError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from . import crf
 from .corpus import _TYPE_RE, Document
 from .errors import (ConfigError, NumericError, ParseError, check_count,
-                     split_lines)
+                     check_seed, split_lines)
 from .evaluation import MODES, f1_scores
 from .features import FeatureTemplate
 from .postprocess import ExpanderConfig, pipeline_spans
@@ -183,6 +183,7 @@ class CvConfig:
     def __post_init__(self):
         check_count("folds", self.folds, 2)
         check_count("repeats", self.repeats, 1)
+        check_seed(self.seed)
         unknown = [m for m in self.models if m not in MODEL_CONFIGS]
         if unknown:
             raise ConfigError(f"unknown model configurations: {unknown}")

@@ -16,13 +16,19 @@ solved from the target u as
 
 with tau the expected mention length and delta the expected determiner
 tokens per mention.
+
+Within one ``generate`` call, tokens with equal surface, POS and chunk
+cells are one shared, immutable ``Token``, built, stemmed and checked the
+first time they appear, as ``parse_column_file`` shares the tokens of one
+parse; no token is shared between two calls.
 """
 
 import math
 from dataclasses import dataclass
 
 from .corpus import Document, Sentence, Span, Token
-from .errors import ConfigError, ParseError, split_lines
+from .errors import (ConfigError, ParseError, check_count, check_seed,
+                     split_lines)
 from .postprocess import DEFAULT_DETERMINERS
 from .rng import SplitMix64
 from .textprep import porter_stem
@@ -316,15 +322,15 @@ def _poisson(rng: SplitMix64, rate: float, cap: int) -> int:
         k += 1
 
 
-def _token(surface: str, pos: str, chunk: str) -> Token:
-    return Token(surface, porter_stem(surface), pos, chunk)
-
-
 class _Generator:
     def __init__(self, profile: SynthProfile, seed: int):
         profile.validate()
         self.profile = profile
         self.rng = SplitMix64(seed)
+        # one generate call's Tokens by "surface\tpos\tchunk", as
+        # parse_column_file keys them, and its stems by surface
+        self.tokens: dict[str, Token] = {}
+        self.stems: dict[str, str] = {}
         self.types = sorted(profile.events)
         self.type_weights = [profile.events[t].proportion for t in self.types]
         self.content = {t: _WordPool(t.lower(), profile._mint_prob(t))
@@ -356,13 +362,25 @@ class _Generator:
                     ps.append(p)
             self.content_lengths[t] = (ks, ps)
 
+    def _token(self, surface: str, pos: str, chunk: str) -> Token:
+        """The call's one ``Token`` for these cells: built, stemmed and
+        checked the first time they appear."""
+        key = f"{surface}\t{pos}\t{chunk}"
+        token = self.tokens.get(key)
+        if token is None:
+            stem = self.stems.get(surface)
+            if stem is None:
+                stem = self.stems[surface] = porter_stem(surface)
+            token = self.tokens[key] = Token(surface, stem, pos, chunk)
+        return token
+
     def _background_token(self) -> Token:
         vocab = self.profile.background_vocab
         surface = "bg" + _base26(self.rng.randrange(vocab))
         if self.rng.bernoulli(self.profile.pos_noise):
-            return _token(surface, "NN", "B-NP")
+            return self._token(surface, "NN", "B-NP")
         pos = _BACKGROUND_POS[self.rng.randrange(len(_BACKGROUND_POS))]
-        return _token(surface, pos, "O")
+        return self._token(surface, pos, "O")
 
     def _entity_pos(self) -> str:
         if self.rng.bernoulli(self.profile.pos_noise):
@@ -373,17 +391,17 @@ class _Generator:
         spec = self.profile.events[event_type]
         if self.rng.uniform() < spec.acronym_fraction:
             word = self.acronyms[event_type].draw(self.rng)
-            return [_token(word, "NN", "B-NP")]
+            return [self._token(word, "NN", "B-NP")]
         ks, ps = self.content_lengths[event_type]
         length = ks[self.rng.categorical(ps)]
         tokens = []
         if length >= 2 and self.rng.bernoulli(self.profile.determiner_fraction):
             det = _DETERMINERS[self.rng.randrange(len(_DETERMINERS))]
-            tokens.append(_token(det, "DT", "B-NP"))
+            tokens.append(self._token(det, "DT", "B-NP"))
         while len(tokens) < length:
             word = self.content[event_type].draw(self.rng)
             chunk = "B-NP" if not tokens else "I-NP"
-            tokens.append(_token(word, self._entity_pos(), chunk))
+            tokens.append(self._token(word, self._entity_pos(), chunk))
         return tokens
 
     def _sentence(self, sentence_index: int, spans: list[Span]) -> Sentence:
@@ -399,8 +417,8 @@ class _Generator:
             event_type = self.types[self.rng.categorical(self.type_weights)]
             if self.rng.bernoulli(self.profile.trigger_fraction):
                 cues = self.triggers[event_type]
-                tokens.append(_token(cues[self.rng.randrange(len(cues))],
-                                     "VB", "O"))
+                tokens.append(self._token(cues[self.rng.randrange(len(cues))],
+                                          "VB", "O"))
             mention = self._mention(event_type)
             start = len(tokens)
             tokens.extend(mention)
@@ -416,8 +434,13 @@ class _Generator:
 
 
 def generate(profile: SynthProfile, seed: int, n_documents: int) -> list[Document]:
-    """Deterministic corpus: same (profile, seed, n) -> identical output."""
-    if n_documents < 0:
-        raise ConfigError(f"document count must be >= 0, got {n_documents}")
+    """Deterministic corpus: same (profile, seed, n) -> identical output.
+
+    ``seed`` must be an integer in [0, 2**64).  Within one call, tokens
+    with equal surface, POS and chunk cells are one shared, immutable
+    ``Token``, stemmed once; no token is shared between two calls.
+    """
+    check_count("document count", n_documents, 0)
+    check_seed(seed)
     gen = _Generator(profile, seed)
     return [gen.document(i) for i in range(n_documents)]

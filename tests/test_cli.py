@@ -156,6 +156,24 @@ class TestSynthCommand:
         assert "document count must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_a_config_error(self, workdir, seed):
+        # SplitMix64 masks its seed, so these would repeat seeds 2**64 - 1
+        # and 0 byte for byte
+        out = workdir / "bad_seed.tsv"
+        proc = run_cli("synth", "--docs", "3", "--seed", seed,
+                       "--output", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "seed must be" in proc.stderr
+        assert not out.exists()
+
+    def test_largest_seed_is_accepted(self, capsys):
+        assert main(["synth", "--docs", "1", "--seed", str(2**64 - 1)]) == 0
+        largest = capsys.readouterr().out
+        assert main(["synth", "--docs", "1", "--seed", "0"]) == 0
+        assert capsys.readouterr().out != largest
+
     def test_background_vocabulary_above_2_64_is_a_config_error(
             self, workdir, capsys):
         bad = workdir / "huge_vocab_profile.txt"
@@ -533,6 +551,19 @@ class TestCrossvalAndStats:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not matrix.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_a_config_error(self, workdir, corpus_file,
+                                                    seed):
+        matrix = workdir / "bad_seed_matrix.tsv"
+        proc = run_cli("crossval", "--input", str(corpus_file),
+                       "--repeats", "1", "--folds", "2", "--models", "IO",
+                       "--types", "ALPHA", "--seed", seed,
+                       "--matrix", str(matrix))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "seed must be" in proc.stderr
+        assert proc.stdout == "" and not matrix.exists()
 
     def test_unknown_model_name(self, corpus_file, capsys):
         rc = main(["crossval", "--input", str(corpus_file),

@@ -317,6 +317,16 @@ class TestCvConfig:
             with pytest.raises(ConfigError):
                 CvConfig(event_types=("PROBLEM",), **kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 1.0, True, "0"])
+    def test_seed_must_be_a_64_bit_integer(self, seed):
+        # derive_seed masks its base, so -1 and 2**64 would alias seeds
+        with pytest.raises(ConfigError, match="seed must be"):
+            CvConfig(event_types=("PROBLEM",), seed=seed)
+
+    def test_seed_range_ends_are_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert CvConfig(event_types=("PROBLEM",), seed=seed).seed == seed
+
     @pytest.mark.parametrize("name", ["A B", "", "PROBLEM\n", "B-TEST"])
     def test_event_type_names_are_checked(self, name):
         with pytest.raises(ConfigError, match="bad event type"):

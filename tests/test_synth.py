@@ -1,8 +1,11 @@
 """Synthetic corpus generation: determinism, structure, and statistics."""
 
+import hashlib
+
 import pytest
 
-from spantag.corpus import compute_profile, decode_document, encode_document
+from spantag.corpus import (compute_profile, decode_document, encode_document,
+                            write_column_file)
 from spantag.errors import ConfigError, ParseError
 from spantag.textprep import porter_stem
 from spantag.schemes import SCHEME_NAMES, get_scheme
@@ -15,6 +18,8 @@ from spantag.synth import (
     parse_profile,
     profile_text,
 )
+
+from test_acceptance import _three_type_profile
 
 
 def two_type_profile():
@@ -68,6 +73,38 @@ class TestGenerateStructure:
             for sentence in doc.sentences:
                 for token in sentence.tokens:
                     assert token.stem == porter_stem(token.surface)
+
+    def test_equal_cells_share_one_token_within_a_call(self):
+        docs = generate(default_profile(), 3, 40)
+        tokens = [t for d in docs for s in d.sentences for t in s.tokens]
+        by_cells = {}
+        for token in tokens:
+            assert by_cells.setdefault(
+                (token.surface, token.pos, token.chunk), token) is token
+        assert len({id(t) for t in tokens}) == len(by_cells) < len(tokens)
+
+    def test_no_token_is_shared_between_calls(self):
+        first = generate(default_profile(), 3, 10)
+        second = generate(default_profile(), 3, 10)
+        assert first == second
+        ids = [{id(t) for d in docs for s in d.sentences for t in s.tokens}
+               for docs in (first, second)]
+        assert not ids[0] & ids[1]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3, 1.0, True, "0"])
+    def test_seed_must_be_a_64_bit_integer(self, seed):
+        # SplitMix64 masks its seed: -1 and 2**64 would repeat other seeds
+        with pytest.raises(ConfigError, match="seed must be"):
+            generate(two_type_profile(), seed, 1)
+
+    @pytest.mark.parametrize("n_documents", [-1, 2.0, True])
+    def test_document_count_must_be_a_count(self, n_documents):
+        with pytest.raises(ConfigError, match="document count must be"):
+            generate(two_type_profile(), 0, n_documents)
+
+    def test_seed_range_ends_are_accepted(self):
+        assert generate(two_type_profile(), 0, 2) != generate(
+            two_type_profile(), 2**64 - 1, 2)
 
     def test_spans_are_separated_and_in_bounds(self):
         for doc in generate(default_profile(), 11, 15):
@@ -134,6 +171,26 @@ class TestGenerateStructure:
         docs = generate(profile, 9, 10)
         assert not any(t.surface.startswith("tg")
                        for d in docs for s in d.sentences for t in s.tokens)
+
+
+class TestGoldenOutput:
+    """Column-file digests of generated corpora, pinned so a change to how
+    the generator builds its tokens cannot move a byte."""
+
+    @pytest.mark.parametrize("profile, seed, digest", [
+        (default_profile, 0, "635b2f25d3ce12f6fd9079fc33ae58c1"
+                             "1b5fccd4adaf87c13daff3a0b0d8ee90"),
+        (default_profile, 7, "fe6d7e612c4377c758a36eda1f4dd37b"
+                             "44339537372565dfbdf2a3f92c19c7d3"),
+        (_three_type_profile, 0, "93090a45adb784356f0bfdf73fa0b3da"
+                                 "a026800093271e5760ee44b1d8916c10"),
+        (_three_type_profile, 7, "1854ee83d64a2c8ccc7578a6a5868134"
+                                 "383c7a4945e60936a9f10b90745423e5"),
+    ])
+    def test_column_file_digest(self, profile, seed, digest):
+        text = write_column_file(generate(profile(), seed, 40),
+                                 get_scheme("IOB"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestStatisticalTargets:
