@@ -1,15 +1,17 @@
 """Command-line surface: train, tag, eval, crossval, synth, profile, stats.
 
-Exit codes: 0 on success, 1 on runtime or data errors (bad input files,
-numeric failure), 2 on usage or configuration errors.  Every command is
-deterministic given identical inputs, flags, and seeds.
+Exit codes: 0 on success; 2 on a bad setting (flag, missing file, flag
+combination), checked before any corpus is read; 1 on a bad file's
+contents, a numeric failure or an I/O error.  Any other exception is a bug.
+Every command is deterministic given identical inputs, flags, and seeds.
 """
 
 import argparse
 import sys
 
 from . import corpus, crf, evaluation, stats, synth
-from .errors import ConfigError, SpantagError, split_lines
+from .errors import (ConfigError, ParseError, SpantagError, check_count,
+                     split_lines)
 from .features import FeatureTemplate, default_template, parse_template
 from .postprocess import (ExpanderConfig, POST_MODES, parse_expander_config,
                           pipeline_spans)
@@ -18,24 +20,25 @@ from .schemes import SCHEME_NAMES, get_scheme
 
 def _read_text(path: str, what: str) -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(split_lines(data[:exc.start].decode("utf-8") + "."))
+        raise ParseError(f"{what} is not UTF-8: {exc.reason}", line) from None
 
 
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _write_text(path, text)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 def _load_template(args) -> FeatureTemplate:
@@ -70,8 +73,7 @@ def _parse_types(value: str) -> tuple[str, ...]:
     if not types:
         raise ConfigError("event_types must be non-empty")
     for event_type in types:
-        if not corpus._TYPE_RE.fullmatch(event_type):
-            raise ConfigError(f"bad event type {event_type!r}")
+        corpus.check_event_type(event_type)
     return types
 
 
@@ -84,10 +86,11 @@ def _load_corpus(path: str) -> list[corpus.Document]:
 def cmd_train(args) -> int:
     scheme = get_scheme(args.scheme)
     template = _load_template(args)
-    docs = _load_corpus(args.input)
-    model = crf.train(docs, template, scheme, args.type,
-                      _trainer_config(args))
-    _write_text(args.model, crf.save_model(model))
+    trainer = _trainer_config(args)
+    corpus.check_event_type(args.type)
+    model = crf.train(_load_corpus(args.input), template, scheme, args.type,
+                      trainer)
+    _emit(crf.save_model(model), args.model)
     log = model.log
     print(f"trained {args.type} ({scheme.name}): "
           f"{model.alphabet.n_features} features, "
@@ -113,28 +116,29 @@ def cmd_tag(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    types = list(_parse_types(args.types)) if args.types else None
     gold = {d.id: d.gold_spans for d in _load_corpus(args.gold)}
     system = {d.id: d.gold_spans for d in _load_corpus(args.system)}
-    types = list(_parse_types(args.types)) if args.types else None
     report = evaluation.evaluate(gold, system, event_types=types)
     print(report.tsv() if args.tsv else report.text(), end="")
     return 0
 
 
 def cmd_crossval(args) -> int:
-    docs = _load_corpus(args.input)
-    types = (_parse_types(args.types) if args.types else
-             tuple(corpus.ordered_event_types(
-                 {s.event_type for d in docs for s in d.gold_spans})))
     cv = stats.CvConfig(repeats=args.repeats, folds=args.folds,
                         seed=args.seed, models=_parse_list(args.models),
-                        event_types=types)
-    matrix = stats.crossval(docs, cv, trainer=_trainer_config(args),
-                            template=_load_template(args),
-                            expander=_load_expander(args), jobs=args.jobs)
+                        event_types=(_parse_types(args.types) if args.types
+                                     else None))
+    trainer = _trainer_config(args)
+    template = _load_template(args)
+    expander = _load_expander(args)
+    check_count("jobs", args.jobs, 1)
+    matrix = stats.crossval(_load_corpus(args.input), cv, trainer=trainer,
+                            template=template, expander=expander,
+                            jobs=args.jobs)
     tsv = matrix.tsv()
     if args.matrix is not None:
-        _write_text(args.matrix, tsv)
+        _emit(tsv, args.matrix)
     print(tsv)
     print(stats.experiment_report(matrix), end="")
     return 0
@@ -149,8 +153,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    docs = _load_corpus(args.input)
-    print(corpus.compute_profile(docs).report(), end="")
+    print(corpus.compute_profile(_load_corpus(args.input)).report(), end="")
     return 0
 
 
@@ -271,10 +274,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"spantag: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SpantagError, ValueError) as exc:
-        print(f"spantag: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SpantagError, OSError) as exc:
         print(f"spantag: error: {exc}", file=sys.stderr)
         return 1
 

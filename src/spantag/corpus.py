@@ -17,15 +17,16 @@ type-suffixed labels ("B-PROBLEM") for all types jointly.  A missing
 stem column is recomputed at load; missing pos/chunk cells fall back to
 the placeholder "_NIL_".  The rows of one parse that have equal token
 cells share one immutable ``Token`` object.  ``Token`` itself enforces
-what a cell may hold; the writer checks only what spans tokens: document
-ids, empty sentences, event types, and a surface starting with "#!".
+what a cell may hold, a surface that would read as a directive included;
+the writer checks only what spans tokens: document ids, empty sentences
+and event types.
 """
 
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ParseError, SchemeValidityError, split_lines
+from .errors import ConfigError, ParseError, SchemeValidityError, split_lines
 from .schemes import Scheme, get_scheme
 from .textprep import porter_stem
 
@@ -38,12 +39,20 @@ _SPACE_SEARCH = re.compile(r"\s").search  # the characters str.isspace accepts
 _CELL_BREAK_SEARCH = re.compile(r"[\t\n\r]").search
 
 
+def check_event_type(name: str) -> None:
+    """Raise ``ConfigError`` unless ``name`` is a whole ``_TYPE_RE`` word,
+    the event-type names every file format can carry."""
+    if not _TYPE_RE.fullmatch(name):
+        raise ConfigError(f"bad event type {name!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Token:
-    """One token's cells.  The surface must be non-empty and free of
-    whitespace, and stem, pos and chunk non-empty and free of tabs and
-    line ends; anything else raises ``ValueError`` naming the cell, so no
-    cell can break a line of a column file or a model file."""
+    """One token's cells.  The surface must be non-empty, free of
+    whitespace and not start with "#!", and stem, pos and chunk non-empty
+    and free of tabs and line ends; anything else raises ``ValueError``
+    naming the cell, so no cell can break a line of a column file or a
+    model file, or start a line that reads as a directive."""
 
     surface: str
     stem: str = PLACEHOLDER
@@ -53,6 +62,9 @@ class Token:
     def __post_init__(self):
         if not self.surface or _SPACE_SEARCH(self.surface):
             raise ValueError(f"bad token surface {self.surface!r}")
+        if self.surface.startswith("#!"):
+            raise ValueError(
+                f"surface {self.surface!r} would read as a directive")
         if not (self.stem and self.pos and self.chunk) or _CELL_BREAK_SEARCH(
                 self.stem + self.pos + self.chunk):
             for name in ("stem", "pos", "chunk"):
@@ -354,9 +366,8 @@ def write_column_file(docs: list[Document], scheme: Scheme,
     cannot express some document's spans, and ``ValueError`` for what
     ``parse_column_file`` would reject or read back as something else: a
     bad or repeated event type, an empty, repeated or whitespace-holding
-    document id, a sentence without tokens, and a surface that starts
-    like a directive (naming the document and sentence).  Every other
-    cell was checked when its ``Token`` was built.
+    document id, and a sentence without tokens (naming the document and
+    sentence).  Every cell was checked when its ``Token`` was built.
     """
     if event_types is None:
         event_types = ordered_event_types(
@@ -383,10 +394,6 @@ def write_column_file(docs: list[Document], scheme: Scheme,
                 raise ValueError(
                     f"document {doc.id!r} sentence {s_idx} has no tokens")
             for token, *labels in zip(sentence.tokens, *label_rows):
-                if token.surface.startswith("#!"):
-                    raise ValueError(
-                        f"document {doc.id!r} sentence {s_idx}: surface "
-                        f"{token.surface!r} would read as a directive")
                 lines.append("\t".join([token.surface, token.stem, token.pos,
                                         token.chunk, *labels]))
             lines.append("")

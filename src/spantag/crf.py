@@ -52,7 +52,7 @@ from itertools import count, repeat, zip_longest
 import numpy as np
 
 from . import optim
-from .corpus import _TYPE_RE, Document, encode_document
+from .corpus import _TYPE_RE, Document, check_event_type, encode_document
 from .errors import (ConfigError, NumericError, ParseError, check_count,
                      split_lines)
 from .features import (SENTINELS, FeatureTemplate, expand_sentence,
@@ -603,8 +603,7 @@ def train(docs: list[Document] | EncodedCorpus, template: FeatureTemplate,
     ``docs`` is a list of documents, or their ``EncodedCorpus`` under
     ``template``, which gives the same model without expanding them
     again."""
-    if not _TYPE_RE.fullmatch(event_type):
-        raise ConfigError(f"bad event type {event_type!r}")
+    check_event_type(event_type)
     encoded = (docs if isinstance(docs, EncodedCorpus)
                else build_alphabet(docs, template))
     if encoded.template.rules != template.rules:

@@ -19,10 +19,10 @@ receives the encoding once, through the pool's initializer.
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import crf
-from .corpus import _TYPE_RE, Document
+from .corpus import Document, check_event_type, ordered_event_types
 from .errors import (ConfigError, NumericError, ParseError, check_count,
                      check_seed, split_lines)
 from .evaluation import MODES, f1_scores
@@ -178,7 +178,8 @@ class CvConfig:
     folds: int = 5
     seed: int = 0
     models: tuple[str, ...] = MODEL_NAMES
-    event_types: tuple[str, ...] = ()
+    # None: every type in the documents, in ``ordered_event_types`` order
+    event_types: tuple[str, ...] | None = None
 
     def __post_init__(self):
         check_count("folds", self.folds, 2)
@@ -189,13 +190,12 @@ class CvConfig:
             raise ConfigError(f"unknown model configurations: {unknown}")
         if not self.models:
             raise ConfigError("models must be non-empty")
-        if not self.event_types:
+        if self.event_types is not None and not self.event_types:
             raise ConfigError("event_types must be non-empty")
-        for event_type in self.event_types:
-            if not _TYPE_RE.fullmatch(event_type):
-                raise ConfigError(f"bad event type {event_type!r}")
+        for event_type in self.event_types or ():
+            check_event_type(event_type)
         for name in ("models", "event_types"):
-            values = getattr(self, name)
+            values = getattr(self, name) or ()
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ConfigError(f"repeated {name}: {repeated}")
@@ -277,6 +277,9 @@ def parse_matrix(text: str) -> RunMatrix:
             raise ParseError(
                 f"matrix cell {key} has {len(cells)} of "
                 f"{repeats * folds} values", block_line[key])
+        if len(cells) < 2:  # the report's ANOVA and t-tests need two
+            raise ParseError(f"matrix cell {key} has 1 value, not at least 2",
+                             block_line[key])
         scores[key] = [cells[divmod(i, folds)] for i in range(repeats * folds)]
     return RunMatrix(repeats, folds, tuple(models), tuple(first_line), scores)
 
@@ -350,8 +353,12 @@ def crossval(docs: list[Document], cv: CvConfig,
     seed and split into near-equal folds; training order inside a fold
     follows corpus order so results are bit-reproducible regardless of
     ``jobs``.  The corpus is encoded once and shared by every task.
+    Without ``cv.event_types``, every event type in ``docs`` is run.
     """
     check_count("jobs", jobs, 1)
+    if cv.event_types is None:
+        cv = replace(cv, event_types=tuple(ordered_event_types(
+            {s.event_type for d in docs for s in d.gold_spans})))
     if template is None:
         from .features import default_template
         template = default_template(transitions=True)

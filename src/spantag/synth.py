@@ -26,7 +26,7 @@ parse; no token is shared between two calls.
 import math
 from dataclasses import dataclass
 
-from .corpus import Document, Sentence, Span, Token
+from .corpus import Document, Sentence, Span, Token, check_event_type
 from .errors import (ConfigError, ParseError, check_count, check_seed,
                      split_lines)
 from .postprocess import DEFAULT_DETERMINERS
@@ -85,6 +85,10 @@ class SynthProfile:
             raise ConfigError("trigger_fraction must be in [0,1]")
         if self.mention_rate < 0:
             raise ConfigError("mention_rate must be >= 0")
+        for name, spec in self.events.items():
+            check_event_type(name)
+            if spec.proportion < 0:
+                raise ConfigError(f"{name}: proportion must be >= 0")
         total = sum(e.proportion for e in self.events.values())
         if abs(total - 1.0) > _PROB_TOL:
             raise ConfigError(f"event proportions sum to {total}, not 1")

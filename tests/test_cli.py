@@ -1,19 +1,28 @@
 """Command-line behavior: end-to-end flows, formats, and exit codes."""
 
+import argparse
+import functools
 import hashlib
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spantag
 from spantag import corpus, crf, stats, synth
-from spantag.cli import main
+from spantag.cli import build_parser, main
 from spantag.features import default_template
 from spantag.postprocess import ExpanderConfig, pipeline_spans
 from spantag.schemes import get_scheme
+
+import test_fuzz_formats as fuzz
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +183,17 @@ class TestSynthCommand:
         assert main(["synth", "--docs", "1", "--seed", "0"]) == 0
         assert capsys.readouterr().out != largest
 
+    def test_type_name_outside_the_word_set_is_a_config_error(self, workdir):
+        bad = workdir / "bad_type_profile.txt"
+        bad.write_text("bad-type.proportion = 1\nbad-type.length.1 = 1\n"
+                       "bad-type.unique_word_fraction = 0.5\n",
+                       encoding="utf-8")
+        proc = run_cli("synth", "--docs", "2", "--profile", str(bad))
+        assert proc.returncode == 2
+        assert proc.stderr == ("spantag: configuration error: "
+                               "bad event type 'bad-type'\n")
+        assert proc.stdout == ""
+
     def test_background_vocabulary_above_2_64_is_a_config_error(
             self, workdir, capsys):
         bad = workdir / "huge_vocab_profile.txt"
@@ -217,6 +237,15 @@ class TestProfileCommand:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "line 3" in proc.stderr and "joint label" in proc.stderr
+
+
+    def test_undecodable_bytes_are_a_data_error(self, workdir, capsys):
+        path = workdir / "latin1.tsv"
+        path.write_bytes(b"#! columns = surface\r\nna\xefve\n")
+        assert main(["profile", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "spantag: error: line 2: corpus is not UTF-8: "
+            "invalid continuation byte\n")
 
 
 class TestTrainCommand:
@@ -386,6 +415,20 @@ class TestTagCommand:
             model, corpus.parse_column_file(given.read_text("utf-8")),
             post).encode("utf-8")
 
+    def test_directive_surface_is_a_data_error_at_its_line(
+            self, workdir, model_file, capsys):
+        given = workdir / "directive_surface.tsv"
+        given.write_text("#! columns = pos surface\nNN\ta\nNN\t#!x\n",
+                         encoding="utf-8")
+        out = workdir / "never_tagged.tsv"
+        rc = main(["tag", "--model", str(model_file), "--input", str(given),
+                   "--output", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "spantag: error: line 3: surface '#!x' would read as a "
+            "directive\n")
+        assert not out.exists()
+
     def test_missing_model_file(self, workdir, corpus_file, capsys):
         rc = main(["tag", "--model", str(workdir / "void.model"),
                    "--input", str(corpus_file)])
@@ -515,6 +558,17 @@ class TestCrossvalAndStats:
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_stats_rejects_one_cell_matrix(self, workdir):
+        path = workdir / "one_cell.tsv"
+        path.write_text("event\tmodel\trepeat\tfold\tstrict_f1\tlenient_f1\n"
+                        "P\tIO\t0\t0\t0.5\t0.5\n"
+                        "P\tIOB\t0\t0\t0.6\t0.6\n", encoding="utf-8")
+        proc = run_cli("stats", "--matrix", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1  # one line: no traceback
+        assert proc.stderr.startswith("spantag: error: line 2: ")
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_is_a_config_error(self, corpus_file, capsys, jobs):
         rc = main(["crossval", "--input", str(corpus_file),
@@ -571,3 +625,241 @@ class TestCrossvalAndStats:
                    "--models", "IO,BILOU", "--types", "ALPHA"])
         assert rc == 2
         assert "unknown model" in capsys.readouterr().err
+
+
+# --- the error contract -----------------------------------------------------
+
+def run_counting_parses(argv):
+    """(exit code, stdout, stderr, corpus parses) of ``main(argv)``; the
+    exit code of an argparse usage error is its ``SystemExit`` code."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(corpus, "parse_column_file",
+                           wraps=corpus.parse_column_file) as parse, \
+            redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue(), parse.call_count
+
+
+class TestSettingsBeforeCorpus:
+    @pytest.mark.parametrize("argv, message", [
+        (["crossval", "--input", "CORPUS", "--folds", "1"],
+         "folds must be >= 2, got 1"),
+        (["train", "--input", "CORPUS", "--model", "MODEL",
+          "--type", "NOPE X"], "bad event type 'NOPE X'"),
+        (["eval", "--gold", "CORPUS", "--system", "CORPUS", "--types", "A B"],
+         "bad event type 'A B'"),
+    ])
+    def test_bad_flag_exits_2_before_any_parse(self, workdir, corpus_file,
+                                               argv, message):
+        model = workdir / "never.model"
+        paths = {"CORPUS": str(corpus_file), "MODEL": str(model)}
+        rc, out, err, parses = run_counting_parses(
+            [paths.get(a, a) for a in argv])
+        assert (rc, out, parses) == (2, "", 0)
+        assert err == f"spantag: configuration error: {message}\n"
+        assert not model.exists()
+
+
+def _flag_actions():
+    """Subcommand name -> its flag actions, as ``build_parser`` declares
+    them (help aside)."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions
+                   if a.option_strings and a.dest != "help"]
+            for name, p in sub.choices.items()}
+
+
+COMMANDS = _flag_actions()
+
+# flag dest -> (values its command accepts, values it rejects as a setting)
+SETTING_VALUES = {
+    "C": (["1", "0.5"], ["0", "-1", "nan", "inf", "1e400"]),
+    "eta": (["1e-4", "0.5"], ["0", "-0.5", "nan"]),
+    "max_iter": (["3"], ["0", "-1"]),
+    "repeats": (["1"], ["0", "-2"]),
+    "folds": (["2"], ["1", "0"]),
+    "seed": (["0", str(2**64 - 1)], ["-1", str(2**64)]),
+    "jobs": (["1"], ["0", "-4"]),
+    "docs": (["0", "3"], ["-1"]),
+    "type": (["ALPHA", "PROBLEM"], ["NOPE X", "", "A,B", "PROBLEM\n"]),
+    "types": (["ALPHA", "PROBLEM,ALPHA"], [",", "A B", "B-X"]),
+    "models": (["IO", "IOB,IOBW+"], [",", "IO,IO", "BILOU"]),
+}
+# values argparse itself rejects where a number is due
+_NOT_NUMBERS = ["x", "1.5", ""]
+# files that only hold settings, read before any corpus
+SETTING_FILES = ("template", "expander", "profile")
+
+
+def _role(command, dest):
+    """What a path flag names: a file the command reads, or "out"."""
+    if dest in ("input", "gold", "system"):
+        return "corpus"
+    if dest in ("model", "matrix"):
+        return dest if command in ("tag", "stats") else "out"
+    return "out" if dest == "output" else dest
+
+
+@st.composite
+def column_texts(draw):
+    """Column files with their columns in any order and cells from a small
+    pool, a surface like a directive among them."""
+    names = draw(st.permutations(["surface", "pos", "label:IOB:ALPHA"]))
+    pool = {"surface": ["a", "the", "#!x", "b#"], "pos": ["NN", "DT"],
+            "label:IOB:ALPHA": ["O", "B", "I"]}
+    row = st.tuples(*(st.sampled_from(pool[n]) for n in names))
+    docs = draw(st.lists(st.lists(row, min_size=1, max_size=3),
+                         min_size=1, max_size=3))
+    lines = [f"#! columns = {' '.join(names)}"]
+    for i, rows in enumerate(docs):
+        lines += [f"#! doc = d{i}", *("\t".join(r) for r in rows), ""]
+    return "\n".join(lines)
+
+
+@st.composite
+def profile_texts(draw):
+    """Profiles of one or two event types, with names and proportions
+    that ``validate`` must sort out."""
+    names = draw(st.lists(st.sampled_from(["A", "B", "bad-type", "bgx"]),
+                          min_size=1, max_size=2, unique=True))
+    share = draw(st.sampled_from([1.0, 0.5, 0.0, 1.5]))
+    events = {name: synth.EventSpec(p, {1: 0.5, 2: 0.5}, 0.5)
+              for name, p in zip(names, [share, 1.0 - share])}
+    return synth.profile_text(synth.SynthProfile(
+        events, sentences_per_doc=2, background_vocab=20))
+
+
+@st.composite
+def matrix_texts(draw):
+    """Run matrices of one or two repeats and folds, one event type."""
+    repeats, folds = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    models = draw(st.lists(st.sampled_from(stats.MODEL_NAMES), min_size=1,
+                           max_size=3, unique=True))
+    f1 = st.sampled_from([0.0, 0.5, 1.0])
+    cells = st.lists(st.tuples(f1, f1), min_size=repeats * folds,
+                     max_size=repeats * folds)
+    matrix = stats.RunMatrix(repeats, folds, tuple(models), ("P",))
+    matrix.scores = {("P", m): draw(cells) for m in models}
+    return matrix.tsv()
+
+
+@functools.cache
+def seed_files():
+    """Role -> valid files, and strategies for more of them."""
+    docs = synth.generate(synth.parse_profile(fuzz._profile_file()), 1, 4)
+    model = crf.train(docs, default_template(transitions=True),
+                      get_scheme("IOBW"), "ALPHA",
+                      crf.TrainerConfig(max_iterations=5))
+    return {
+        "corpus": [corpus.write_column_file(docs, get_scheme("IOB")),
+                   fuzz._column_file(), fuzz._joint_column_file(),
+                   column_texts()],
+        "model": [fuzz._model_file(), crf.save_model(model)],
+        "template": ["U00:%x[0,1]\nU01:%x[-1,3]/%x[0,3]\nB\n"],
+        "expander": [fuzz._EXPANDER_FILE],
+        "profile": [fuzz._profile_file(), profile_texts()],
+        "matrix": [fuzz._matrix_file(), matrix_texts()],
+    }
+
+
+@st.composite
+def file_plans(draw, role, valid):
+    """How to lay out one path: ("file", bytes), ("missing",), ("dir",) or,
+    for an output, ("file", None) or ("no-dir",).  ``valid`` gives a seed
+    file, or a fresh output path."""
+    if role == "out":
+        return draw(st.sampled_from(
+            [("file", None)] + ([] if valid else [("no-dir",), ("dir",)])))
+    seed = draw(st.sampled_from(seed_files()[role]))
+    text = seed if isinstance(seed, str) else draw(seed)
+    kind = "seed" if valid else draw(st.sampled_from(
+        ["seed", "seed", "mutant", "mutant", "undecodable", "missing", "dir"]))
+    if kind in ("missing", "dir"):
+        return (kind,)
+    if kind == "mutant":
+        text = fuzz.mutate(text, draw(fuzz.EDITS))
+    data = text.encode("utf-8")
+    if kind == "undecodable":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return ("file", data)
+
+
+@st.composite
+def invocations(draw):
+    """(argv, path -> file plan, whether one setting is the only fault).
+
+    In "random" mode every flag and file is drawn from valid, invalid and
+    unusable values; in "valid" mode only valid ones are; in "fault" mode
+    all are valid but one setting: a flag value, or a missing settings
+    file."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    actions = COMMANDS[command]
+    settable = [a for a in actions if a.dest in SETTING_VALUES
+                or _role(command, a.dest) in SETTING_FILES]
+    mode = draw(st.sampled_from(["random", "valid"]
+                                + (["fault"] if settable else [])))
+    fault = draw(st.sampled_from(settable)) if mode == "fault" else None
+    valid = mode != "random"
+    argv, plans = [command], {}
+    for action in actions:
+        if action is not fault and not action.required and draw(
+                st.booleans()):
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+        elif action.choices is not None:
+            argv += [flag, draw(st.sampled_from(
+                list(action.choices) + ([] if valid else ["BILOU"])))]
+        elif action.dest in SETTING_VALUES:
+            good, bad = SETTING_VALUES[action.dest]
+            values = (bad if action is fault else good if valid
+                      else good * 2 + bad + _NOT_NUMBERS)
+            argv += [flag, draw(st.sampled_from(values))]
+        else:
+            path = f"contract_{action.dest}"
+            plans[path] = (("missing",) if action is fault else draw(
+                file_plans(_role(command, action.dest), valid)))
+            argv += [flag, path]
+    return argv, plans, mode == "fault"
+
+
+def lay_out(workdir, plans):
+    """Make each path in ``workdir`` what its plan says; the names to pass
+    for them."""
+    names = {}
+    for path, plan in plans.items():
+        target = workdir / path
+        if target.is_dir():
+            target.rmdir()
+        target.unlink(missing_ok=True)
+        if plan[0] == "dir":
+            target.mkdir()
+        elif plan[0] == "file" and plan[1] is not None:
+            target.write_bytes(plan[1])
+        names[path] = str(target / "out" if plan[0] == "no-dir" else target)
+    return names
+
+
+@settings(max_examples=400, deadline=None)
+@given(call=invocations())
+def test_every_run_exits_0_1_or_2_with_one_line(workdir, call):
+    argv, plans, setting_fault = call
+    paths = lay_out(workdir, plans)
+    argv = [paths.get(a, a) for a in argv]
+    rc, out, err, parses = run_counting_parses(argv)
+    assert rc in (0, 1, 2)
+    if err.startswith("usage: "):  # argparse's own usage message
+        assert rc == 2
+    elif rc == 0:
+        assert err == ""
+    else:
+        assert err.startswith("spantag: ") and err.count("\n") == 1, err
+    if setting_fault:
+        assert (rc, parses) == (2, 0), err

@@ -14,7 +14,7 @@ from spantag.corpus import (PLACEHOLDER, Document, Sentence, Span, Token,
 from spantag.errors import ParseError, RepresentabilityError
 from spantag.schemes import SCHEME_NAMES, get_scheme
 
-from conftest import build_doc, build_sentence, make_token
+from conftest import build_doc, build_sentence
 
 IOB = get_scheme("IOB")
 IOBW = get_scheme("IOBW")
@@ -153,18 +153,10 @@ class TestColumnFileWriterRejects:
         (("a", "a", "NN", "O\r"), "chunk cell 'O\\r'"),
     ])
     def test_unreadable_cells(self, token, cell):
-        # a bad stem, pos or chunk cell fails when its Token is built; a
-        # "#!" surface, which the reader accepts past the first column,
-        # fails when the writer would start a line with it
-        if token[0].startswith("#!"):
-            doc = build_doc("d", [build_sentence(("ok", "NN", "O")),
-                                  Sentence([make_token("ok"), Token(*token)])])
-            with pytest.raises(ValueError,
-                               match="document 'd' sentence 1") as exc:
-                write_column_file([doc], IOB)
-        else:
-            with pytest.raises(ValueError) as exc:
-                Token(*token)
+        # a cell the reader would reject or misread fails when its Token is
+        # built, so the writer never meets one
+        with pytest.raises(ValueError) as exc:
+            Token(*token)
         assert cell in str(exc.value)
 
     @pytest.mark.parametrize("ids,message", [
@@ -345,6 +337,14 @@ class TestColumnFileParsing:
     def test_parse_errors(self, bad, message):
         with pytest.raises(ParseError, match=message):
             parse_column_file(bad)
+
+    def test_directive_surface_past_the_first_column_rejected(self):
+        # the writer puts the surface first, where "#!x" reads as a directive
+        text = "#! columns = pos surface\nNN\ta\nNN\t#!x\n"
+        with pytest.raises(ParseError, match="surface '#!x' would read as "
+                           "a directive") as exc:
+            parse_column_file(text)
+        assert exc.value.line == 3
 
     def test_invalid_label_sequence_points_at_line(self):
         text = ("#! columns = surface label:IOB:PROBLEM\n"

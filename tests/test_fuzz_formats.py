@@ -85,6 +85,21 @@ FORMATS = {
 }
 
 
+# a few single-character inserts, deletions and replacements
+EDITS = st.lists(st.tuples(st.sampled_from("idr"), st.integers(0, 2**16),
+                           st.sampled_from(_MUTATION_CHARS)),
+                 min_size=1, max_size=6)
+
+
+def mutate(text, edits):
+    """``text`` with the ``EDITS`` applied in turn."""
+    for op, at, char in edits:
+        at %= len(text) + 1
+        keep = at + (op != "i")  # insert, delete or replace at ``at``
+        text = text[:at] + ("" if op == "d" else char) + text[keep:]
+    return text
+
+
 @pytest.mark.parametrize("name", list(FORMATS))
 def test_seed_file_parses(name):
     make, parse = FORMATS[name]
@@ -93,18 +108,11 @@ def test_seed_file_parses(name):
 
 @pytest.mark.parametrize("name", list(FORMATS))
 @settings(max_examples=150, deadline=None)
-@given(edits=st.lists(st.tuples(st.sampled_from("idr"), st.integers(0, 2**16),
-                                st.sampled_from(_MUTATION_CHARS)),
-                      min_size=1, max_size=6))
+@given(edits=EDITS)
 def test_mutants_raise_only_spantag_errors(name, edits):
     make, parse = FORMATS[name]
-    text = make()
-    for op, at, char in edits:
-        at %= len(text) + 1
-        keep = at + (op != "i")  # insert, delete or replace at ``at``
-        text = text[:at] + ("" if op == "d" else char) + text[keep:]
     try:
-        parse(text)
+        parse(mutate(make(), edits))
     except SpantagError:
         pass
 
@@ -135,14 +143,8 @@ COLUMN_FILES = {
 
 @pytest.mark.parametrize("name", list(COLUMN_FILES))
 @settings(max_examples=150, deadline=None)
-@given(edits=st.lists(st.tuples(st.sampled_from("idr"), st.integers(0, 2**16),
-                                st.sampled_from(_MUTATION_CHARS)),
-                      min_size=1, max_size=6))
+@given(edits=EDITS)
 def test_column_mutants_read_as_the_reference_reads_them(name, edits):
-    text = COLUMN_FILES[name]()
-    for op, at, char in edits:
-        at %= len(text) + 1
-        keep = at + (op != "i")
-        text = text[:at] + ("" if op == "d" else char) + text[keep:]
+    text = mutate(COLUMN_FILES[name](), edits)
     assert _read(parse_column_file, text) == \
         _read(oracle.parse_column_file, text)

@@ -275,6 +275,15 @@ class TestRunMatrix:
         assert "has 5 of 6 values" in str(exc.value)
         assert exc.value.line == 8  # the first row of the (PROBLEM, IOB) block
 
+    def test_parse_rejects_one_cell_per_block(self):
+        # the report's ANOVA and t-tests need two values per model
+        text = ("event\tmodel\trepeat\tfold\tstrict_f1\tlenient_f1\n"
+                "P\tIO\t0\t0\t0.5\t0.5\n"
+                "P\tIOB\t0\t0\t0.6\t0.6\n")
+        with pytest.raises(ParseError, match="has 1 value") as exc:
+            parse_matrix(text)
+        assert exc.value.line == 2  # the first row of the (P, IO) block
+
 
 class TestFolds:
     def test_fold_sizes_partition_documents(self):
@@ -443,6 +452,20 @@ class TestCrossval:
                       event_types=("ALPHA", "BETA"))
         assert crossval(docs, cv, FAST_TRAINER).tsv() == \
             per_fold_crossval(docs, cv, FAST_TRAINER).tsv()
+
+    def test_types_default_to_those_of_the_corpus(self):
+        cv = CvConfig(repeats=1, folds=2, seed=7, models=("IOB",))
+        assert cv.event_types is None
+        explicit = CvConfig(repeats=1, folds=2, seed=7, models=("IOB",),
+                            event_types=("PROBLEM", "TEST"))
+        assert crossval(tiny_corpus(), cv, FAST_TRAINER).tsv() == \
+            crossval(tiny_corpus(), explicit, FAST_TRAINER).tsv()
+
+    def test_corpus_without_types_rejected(self):
+        docs = [build_doc(f"d{i}", [build_sentence(("a", "NN", "O"))])
+                for i in range(4)]
+        with pytest.raises(ConfigError, match="event_types must be non-empty"):
+            crossval(docs, CvConfig(repeats=1, folds=2), FAST_TRAINER)
 
     def test_too_few_documents_rejected(self):
         cv = CvConfig(repeats=1, folds=5, event_types=("PROBLEM",))

@@ -339,6 +339,13 @@ class TestProfileValidation:
         with pytest.raises(ConfigError):
             SynthProfile(events).validate()
 
+    def test_proportions_must_be_non_negative(self):
+        # they sum to 1, but BETA would never be drawn
+        events = {"ALPHA": EventSpec(1.5, {1: 1.0}, 0.5),
+                  "BETA": EventSpec(-0.5, {1: 1.0}, 0.5)}
+        with pytest.raises(ConfigError, match="BETA: proportion must be >= 0"):
+            SynthProfile(events).validate()
+
     def test_length_hist_must_sum_to_one(self):
         events = {"ALPHA": EventSpec(1.0, {1: 0.5, 2: 0.4}, 0.5)}
         with pytest.raises(ConfigError):
@@ -362,6 +369,12 @@ class TestProfileValidation:
         with pytest.raises(ConfigError) as exc:
             SynthProfile(events).validate()
         assert "prefix" in str(exc.value)
+
+    @pytest.mark.parametrize("name", ["bad-type", "A B", ""])
+    def test_type_names_must_be_words(self, name):
+        events = {name: EventSpec(1.0, {1: 1.0}, 0.5)}
+        with pytest.raises(ConfigError, match="bad event type"):
+            SynthProfile(events).validate()
 
     @pytest.mark.parametrize("name", ["bgnoise", "tgx", "BGLOOM"])
     def test_reserved_namespaces_rejected(self, name):
