@@ -11,7 +11,7 @@ import sys
 
 from . import corpus, crf, evaluation, stats, synth
 from .errors import (ConfigError, ParseError, SpantagError, check_count,
-                     split_lines)
+                     check_distinct, split_lines)
 from .features import FeatureTemplate, default_template, parse_template
 from .postprocess import (ExpanderConfig, POST_MODES, parse_expander_config,
                           pipeline_spans)
@@ -74,6 +74,7 @@ def _parse_types(value: str) -> tuple[str, ...]:
         raise ConfigError("event_types must be non-empty")
     for event_type in types:
         corpus.check_event_type(event_type)
+    check_distinct("event_types", types)
     return types
 
 

@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the toolkit, the line splitter that
 numbers every reader's lines, and the checks that a count or seed setting
-is an integer in range."""
+is an integer in range and that a list setting holds no repeats."""
 
 from numbers import Integral
 
@@ -67,6 +67,13 @@ def check_seed(value) -> None:
     check_count("seed", value, 0)
     if value >= 2**64:
         raise ConfigError(f"seed must be < 2**64, got {value}")
+
+
+def check_distinct(name: str, values) -> None:
+    """Raise ``ConfigError`` naming the values that ``values`` repeats."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"repeated {name}: {repeated}")
 
 
 class TrainingError(SpantagError):

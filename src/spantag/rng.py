@@ -2,22 +2,42 @@
 
 All randomness in the toolkit (fold shuffling, synthetic corpora) flows
 through SplitMix64 so that identical seeds give byte-identical outputs on
-every platform, independent of Python or numpy versions.
+every platform.  SplitMix64 is counter-based: output i of a stream is a
+fixed mix of ``seed + i * gamma`` (mod 2**64), so ``SplitMix64`` computes
+its outputs in blocks with numpy uint64 arrays.  uint64 arithmetic wraps
+exactly like the masked Python-int step, so the stream is still the same
+on every Python and numpy version.
 """
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
 
+_BLOCK = 1024  # outputs a generator computes at once
+# gamma * [1 .. _BLOCK] mod 2**64: one block's offsets from the state
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_BLOCK_STEP = (_BLOCK * _GAMMA) & MASK64
+
+
+def _mix(z):
+    """SplitMix64's output function, on a Python int below 2**64 or on a
+    uint64 array (which wraps where the int is masked)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def _block(state: int) -> np.ndarray:
+    """The ``_BLOCK`` outputs that follow ``state``, as a uint64 array."""
+    return _mix(_STEPS + np.uint64(state))
+
 
 def splitmix64(state: int) -> tuple[int, int]:
     """One SplitMix64 step: returns (next_state, output)."""
     state = (state + _GAMMA) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    z = z ^ (z >> 31)
-    return state, z
+    return state, _mix(state)
 
 
 def fnv1a64(text: str) -> int:
@@ -43,11 +63,14 @@ class SplitMix64:
     """Tiny deterministic RNG with the handful of draws the toolkit needs."""
 
     def __init__(self, seed: int):
-        self._state = seed & MASK64
+        self._state = seed & MASK64  # the state after the pending outputs
+        self._pending: list[int] = []  # the next outputs, last one first
 
     def next_u64(self) -> int:
-        self._state, out = splitmix64(self._state)
-        return out
+        if not self._pending:
+            self._pending = _block(self._state).tolist()[::-1]
+            self._state = (self._state + _BLOCK_STEP) & MASK64
+        return self._pending.pop()
 
     def uniform(self) -> float:
         """Float in [0, 1) with 53 bits of precision."""

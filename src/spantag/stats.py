@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from . import crf
 from .corpus import Document, check_event_type, ordered_event_types
 from .errors import (ConfigError, NumericError, ParseError, check_count,
-                     check_seed, split_lines)
+                     check_distinct, check_seed, split_lines)
 from .evaluation import MODES, f1_scores
 from .features import FeatureTemplate
 from .postprocess import ExpanderConfig, pipeline_spans
@@ -194,11 +194,8 @@ class CvConfig:
             raise ConfigError("event_types must be non-empty")
         for event_type in self.event_types or ():
             check_event_type(event_type)
-        for name in ("models", "event_types"):
-            values = getattr(self, name) or ()
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise ConfigError(f"repeated {name}: {repeated}")
+        check_distinct("models", self.models)
+        check_distinct("event_types", self.event_types or ())
 
 
 @dataclass
@@ -234,6 +231,8 @@ def parse_matrix(text: str) -> RunMatrix:
     if not lines or lines[0][1].split("\t")[:2] != ["event", "model"]:
         raise ParseError("missing run-matrix header",
                          lines[0][0] if lines else 1)
+    if len(lines) == 1:
+        raise ParseError("run matrix has no cells", lines[0][0] + 1)
     cells_by_key: dict[tuple[str, str], dict[tuple[int, int], tuple[float, float]]] = {}
     first_line: dict[str, int] = {}  # event type -> line of its first row
     block_line: dict[tuple[str, str], int] = {}  # (event, model) -> the same

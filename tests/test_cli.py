@@ -569,6 +569,16 @@ class TestCrossvalAndStats:
         assert proc.stderr.startswith("spantag: error: line 2: ")
         assert proc.stdout == ""
 
+    def test_stats_rejects_header_only_matrix(self, workdir):
+        # an empty or truncated matrix is not an empty experiment
+        path = workdir / "header_only.tsv"
+        path.write_text("event\tmodel\trepeat\tfold\tstrict_f1\tlenient_f1\n",
+                        encoding="utf-8")
+        proc = run_cli("stats", "--matrix", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr == "spantag: error: line 2: run matrix has no cells\n"
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_is_a_config_error(self, corpus_file, capsys, jobs):
         rc = main(["crossval", "--input", str(corpus_file),
@@ -651,6 +661,11 @@ class TestSettingsBeforeCorpus:
           "--type", "NOPE X"], "bad event type 'NOPE X'"),
         (["eval", "--gold", "CORPUS", "--system", "CORPUS", "--types", "A B"],
          "bad event type 'A B'"),
+        # a repeated type would print its rows twice and count it twice in
+        # the micro rows
+        (["eval", "--gold", "CORPUS", "--system", "CORPUS",
+          "--types", "PROBLEM,PROBLEM,TEST"],
+         "repeated event_types: ['PROBLEM']"),
     ])
     def test_bad_flag_exits_2_before_any_parse(self, workdir, corpus_file,
                                                argv, message):
@@ -687,7 +702,7 @@ SETTING_VALUES = {
     "jobs": (["1"], ["0", "-4"]),
     "docs": (["0", "3"], ["-1"]),
     "type": (["ALPHA", "PROBLEM"], ["NOPE X", "", "A,B", "PROBLEM\n"]),
-    "types": (["ALPHA", "PROBLEM,ALPHA"], [",", "A B", "B-X"]),
+    "types": (["ALPHA", "PROBLEM,ALPHA"], [",", "A B", "B-X", "ALPHA,ALPHA"]),
     "models": (["IO", "IOB,IOBW+"], [",", "IO,IO", "BILOU"]),
 }
 # values argparse itself rejects where a number is due

@@ -1,9 +1,23 @@
 """Portable RNG: fixed output streams and distributional sanity."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spantag.rng import SplitMix64, derive_seed, fnv1a64, splitmix64
+from spantag.rng import (_BLOCK, SplitMix64, _block, derive_seed, fnv1a64,
+                         splitmix64)
+
+
+def scalar_stream(seed, n):
+    """The first ``n`` outputs of ``seed``'s stream, one scalar step each."""
+    state, outs = seed, []
+    for _ in range(n):
+        state, out = splitmix64(state)
+        outs.append(out)
+    return outs
 
 
 class TestSplitMix64Stream:
@@ -29,6 +43,39 @@ class TestSplitMix64Stream:
         assert rng.next_u64() == out
         _, out2 = splitmix64(state)
         assert rng.next_u64() == out2
+
+
+class TestBlockStream:
+    """``SplitMix64`` computes its outputs ``_BLOCK`` at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           n=st.integers(0, 3 * _BLOCK + 5))
+    @example(seed=0, n=3 * _BLOCK + 5)
+    @example(seed=2**63, n=3 * _BLOCK + 5)
+    @example(seed=2**64 - 1, n=3 * _BLOCK + 5)
+    def test_blocks_equal_scalar_steps(self, seed, n):
+        rng = SplitMix64(seed)
+        assert [rng.next_u64() for _ in range(n)] == scalar_stream(seed, n)
+
+    @pytest.mark.parametrize("seed_a, seed_b", [(5, 5), (5, 6)])
+    def test_interleaved_generators_share_no_buffer(self, seed_a, seed_b):
+        a, b = SplitMix64(seed_a), SplitMix64(seed_b)
+        n = 2 * _BLOCK + 3
+        got = [(a.next_u64(), b.next_u64()) for _ in range(n)]
+        assert got == list(zip(scalar_stream(seed_a, n),
+                               scalar_stream(seed_b, n)))
+
+    @pytest.mark.parametrize("state", [0, 2**63, 2**64 - 1])
+    def test_refill_is_exact_uint64_without_warnings(self, state):
+        # numpy 1.x would turn a uint64 scalar mixed with a Python int
+        # into float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = _block(state)
+            SplitMix64(state).next_u64()
+        assert block.dtype == np.uint64 and block.shape == (_BLOCK,)
+        assert block.tolist() == scalar_stream(state, _BLOCK)
 
 
 class TestDerivedStreams:

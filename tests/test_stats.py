@@ -213,6 +213,15 @@ class TestRunMatrix:
             parse_matrix("nope\n")
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("text, line", [
+        ("event\tmodel\trepeat\tfold\tstrict_f1\tlenient_f1\n", 2),
+        ("\nevent\tmodel\trepeat\tfold\tstrict_f1\tlenient_f1\n\n", 3)],
+        ids=["header", "header-between-blank-lines"])
+    def test_parse_rejects_header_only_matrix(self, text, line):
+        with pytest.raises(ParseError, match="run matrix has no cells") as exc:
+            parse_matrix(text)
+        assert exc.value.line == line  # the line after the header
+
     def test_parse_rejects_short_row(self):
         text = small_matrix().tsv().splitlines()
         text[1] = "\t".join(text[1].split("\t")[:5])
