@@ -36,27 +36,43 @@ contiguous block of rows; ``BatchedObjective`` runs on a whole training
 corpus and ``CrfModel._decode`` on a batch of sentences: for ``tag``,
 those of a group of documents (``tag_documents`` groups consecutive
 documents), and for cross-validation a whole test fold;
-``by_document`` splits a batch's rows back per document.  Both take a
-batch's node scores from ``instance_lattice``, and ``_decode`` finds
-each sentence's best path with ``viterbi``.  The per-sentence reference
-implementations that the tests compare this code against live in
-``tests/oracle.py``.
+``by_document`` splits a batch's rows back per document.  ``_decode``
+finds each sentence's best path with ``viterbi``.
+
+``instance_lattice`` is the one node scorer, for training and decoding
+alike, and reads a ``NodeLayout``.  Its rules fall into groups
+(``rule_groups``): the rules that read the same set of row offsets, so
+the default template's 31 rules make 5 groups, offsets -2..2, with U30
+at offset 0.  Within a group, positions whose tokens agree at those
+offsets share their id row, so ``NodeLayout.grouped`` numbers the
+distinct id rows of each group once: each position holds one key per
+group, and each group one table of feature ids, one row per key and one
+column per rule.  The scorer sums each table row's weight rows once and
+gathers the sums per position by key; ``node_gradient``, its transpose,
+bins the marginals by key and scatters the bins through the tables with
+one ``bincount`` per label.  The grouped layout, keys in ``TimeMajor``
+order, depends on neither scheme nor event type, so an
+``EncodedCorpus`` builds it on first use and every training on that
+encoding shares it.  Decoding passes ``NodeLayout.per_position``, all
+rules in one group keyed by position, through the same scorer.  The
+per-sentence reference implementations that the tests compare this code
+against live in ``tests/oracle.py``.
 """
 
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import count, repeat, zip_longest
 
 import numpy as np
 
 from . import optim
 from .corpus import _TYPE_RE, Document, check_event_type, encode_document
-from .errors import (ConfigError, NumericError, ParseError, check_count,
-                     split_lines)
-from .features import (SENTINELS, FeatureTemplate, expand_sentence,
-                       feature_table, parse_template)
+from .errors import (ConfigError, NumericError, ParseError, TrainingError,
+                     check_count, split_lines)
+from .features import (_KEY_LIMIT, SENTINELS, FeatureTemplate, _renumber,
+                       expand_sentence, feature_table, parse_template)
 from .schemes import Scheme, get_scheme
 
 MODEL_FORMAT = "spantag-crf v1"
@@ -155,7 +171,10 @@ class EncodedCorpus:
     sentence has no rows).  ``feat_index`` maps a feature string to its
     id; in the test part of a ``fold`` an id of -1 marks a feature that
     its training part lacks.  ``template`` is the one the documents were
-    expanded under.
+    expanded under.  ``time_major`` and ``layout``, the row order and node
+    layout a training on these rows runs in, are built on first use and
+    shared by every training on this encoding, whatever its scheme or
+    event type.
     """
     feat_index: dict[str, int]
     ids: np.ndarray  # (positions, n_rules)
@@ -166,6 +185,16 @@ class EncodedCorpus:
     @property
     def n_features(self) -> int:
         return len(self.feat_index)
+
+    @cached_property
+    def time_major(self) -> "TimeMajor":
+        return TimeMajor(self.lengths)
+
+    @cached_property
+    def layout(self) -> "NodeLayout":
+        """The rows grouped by ``rule_groups``, in ``time_major`` order."""
+        return NodeLayout.grouped(self.ids, self.time_major.rows,
+                                  rule_groups(self.template))
 
     def fold(self, test_idx) -> tuple["EncodedCorpus", "EncodedCorpus"]:
         """(training part, test part): the documents outside and inside
@@ -217,15 +246,16 @@ def _groups(items, size):
         yield group
 
 
-def _features(template: FeatureTemplate, sentences):
+def _features(template: FeatureTemplate, sentences, shapes: dict | None):
     """(strings, where) of a group of sentences: the distinct feature
     strings in order of first occurrence, position by position and one
     per template rule, and the (positions, rules) index of each
     occurrence's string in them.  Positions that share a rule's key
     (``expand_sentence``) share its string, so each distinct (rule, key)
     builds its string once, at its first position; two keys may still
-    build one string, and then share its id when it is looked up."""
-    table = feature_table(sentences)
+    build one string, and then share its id when it is looked up.
+    ``shapes`` is ``feature_table``'s, one dict over a caller's groups."""
+    table = feature_table(sentences, shapes)
     # a (rule, key) pair's slot: rule j's keys take slots j*width onwards
     slot = expand_sentence(template, table)
     n, n_rules = slot.shape
@@ -257,13 +287,13 @@ def build_alphabet(docs: list[Document],
     ``stats.crossval`` encodes a whole corpus once and takes its folds
     with ``EncodedCorpus.fold``."""
     if not any(doc.sentences for doc in docs):
-        raise ConfigError("cannot build an alphabet from an empty corpus")
+        raise TrainingError("cannot build an alphabet from an empty corpus")
     sentences = [s for doc in docs for s in doc.sentences]
     lengths = np.array([len(s.tokens) for s in sentences], dtype=np.intp)
     ids = np.empty((lengths.sum(), len(template.rules)), dtype=np.int32)
-    feat_index, at = None, 0
+    feat_index, at, shapes = None, 0, {}
     for group in _groups(sentences, len):
-        strings, where = _features(template, group)
+        strings, where = _features(template, group, shapes)
         feat_index, found = intern(strings, feat_index)
         np.take(found, where, out=ids[at:at + len(where)])
         at += len(where)
@@ -322,7 +352,6 @@ class TimeMajor:
         return slice(lo, self.off[t + 1] if k is None else lo + k)
 
 
-_GATHER_POSITIONS = 512  # per gather; keeps its temporary cache-sized
 # tokens that close a group of sentences that ``_features`` encodes
 # together (``build_alphabet``), or of documents that ``tag_documents``
 # tags together: one Viterbi per group, and only one group's id matrix
@@ -330,22 +359,128 @@ _GATHER_POSITIONS = 512  # per gather; keeps its temporary cache-sized
 _TAG_POSITIONS = 2048
 
 
-def instance_lattice(w_node: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Node scores of a batch of instances' lattices: the summed weight
-    rows of each position's feature ids, where row p of the (positions,
-    rules) matrix ``ids`` holds the ids of position p.  Every edge of
-    every lattice holds the same transition weights, so none is built."""
-    n, n_rules = ids.shape
-    node = np.zeros((n, w_node.shape[1]))
-    if not n_rules:  # transitions only: every node scores zero
-        return node
-    starts = np.arange(_GATHER_POSITIONS) * n_rules
-    for lo in range(0, n, _GATHER_POSITIONS):
-        part = ids[lo:lo + _GATHER_POSITIONS].ravel()
-        rows = np.take(w_node, part, axis=0)
-        node[lo:lo + _GATHER_POSITIONS] = np.add.reduceat(
-            rows, starts[:len(part) // n_rules], axis=0)
+def rule_groups(template: FeatureTemplate) -> list[list[int]]:
+    """The indices of the template's rules, grouped by the set of row
+    offsets their cells read, each group in rule order and the groups in
+    order of their first rule.  Positions whose tokens agree at a group's
+    offsets agree on its ids, so its id rows repeat often."""
+    groups = {}
+    for j, rule in enumerate(template.rules):
+        groups.setdefault(frozenset(row for row, _ in rule.cells), []).append(j)
+    return list(groups.values())
+
+
+class NodeLayout:
+    """Where the node scores of a batch's rows come from.
+
+    The rules fall into groups.  Group g has a table of feature ids,
+    ``tables[g]``, with one column per rule of the group, and row r of the
+    batch reads its row ``keys[g][r]``, or row r itself where ``keys[g]``
+    is None.  ``ids`` holds every table, one after another, each row by
+    row, and ``tables`` views it.  A row's node score is the sum, over the
+    groups, of the weight rows of its table row's ids
+    (``instance_lattice``); ``node_gradient`` scatters back through the
+    same tables.
+    """
+
+    def __init__(self, n_rows: int, tables: list[np.ndarray], keys):
+        self.n_rows, self.keys = n_rows, keys
+        self.ids = (np.concatenate([t.ravel() for t in tables]) if tables
+                    else np.empty(0, dtype=np.intp))
+        ends = np.cumsum([t.size for t in tables], dtype=np.intp).tolist()
+        self.tables = [self.ids[end - t.size:end].reshape(t.shape)
+                       for t, end in zip(tables, ends)]
+
+    @classmethod
+    def per_position(cls, ids: np.ndarray) -> "NodeLayout":
+        """All rules in one group, one table row per position of the
+        (positions, rules) matrix ``ids``: what decoding scores with."""
+        tables = [ids] if ids.shape[1] else []
+        return cls(len(ids), tables, [None] * len(tables))
+
+    @classmethod
+    def grouped(cls, ids: np.ndarray, rows: np.ndarray,
+                groups: list[list[int]]) -> "NodeLayout":
+        """The rows ``rows`` of the non-negative (positions, rules) matrix
+        ``ids``, in that order, with each group of rule columns keyed by
+        its distinct id rows (``_distinct_rows``), numbered once."""
+        tables, keys = [], []
+        for columns in groups:
+            group_ids = ids[:, columns]
+            first, key = _distinct_rows(group_ids)
+            tables.append(group_ids[first].astype(np.intp))  # bincount's type
+            keys.append(key[rows])
+        return cls(len(rows), tables, keys)
+
+
+def _distinct_rows(ids: np.ndarray):
+    """(first, key) of a non-negative id matrix: ``key[p]`` numbers row p,
+    equal rows alike, 0..k-1 by first occurrence, and ``first[i]`` is the
+    first row numbered i.  The ids of a training corpus are numbered by
+    first occurrence too, so this order keeps the gathers and scatters
+    through a table nearly sequential.  The key is mixed-radix over the
+    columns, renumbered (``_renumber``) where the next column would pass
+    int64."""
+    key, size = np.zeros(len(ids), dtype=np.int64), 1
+    for column in ids.T:
+        radix = int(column.max(initial=0)) + 1
+        if size * radix > _KEY_LIMIT:
+            key, size = _renumber(key)
+        key = key * radix + column
+        size *= radix
+    _, first, key = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[key]
+
+
+def _summed_rows(w_node: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The summed weight rows of each row of ids in ``table``, added one
+    column (rule) after another."""
+    sums = np.take(w_node, table[:, 0], axis=0)
+    for column in table.T[1:]:
+        sums += np.take(w_node, column, axis=0)
+    return sums
+
+
+def instance_lattice(w_node: np.ndarray, layout: NodeLayout) -> np.ndarray:
+    """Node scores of a batch of instances' lattices: each row's summed
+    weight rows of its feature ids.  Each group of ``layout`` sums its
+    table rows once and gathers the sums by key.  Every edge of every
+    lattice holds the same transition weights, so none is built."""
+    node = None
+    for table, keys in zip(layout.tables, layout.keys):
+        sums = _summed_rows(w_node, table)
+        if keys is not None:
+            sums = np.take(sums, keys, axis=0)
+        if node is None:
+            node = sums
+        else:
+            node += sums
+    if node is None:  # transitions only: every node scores zero
+        node = np.zeros((layout.n_rows, w_node.shape[1]))
     return node
+
+
+def node_gradient(marg: np.ndarray, layout: NodeLayout,
+                  out: np.ndarray) -> None:
+    """The transpose of ``instance_lattice`` on a ``NodeLayout.grouped``
+    layout: ``out[f, y]`` becomes the sum of ``marg[r, y]`` over every
+    (row r, rule) whose id is f.  Each group bins the rows by key; then
+    one ``bincount`` per label scatters the bins, repeated over their
+    table rows' ids, into ``out``."""
+    weights = np.empty(len(layout.ids))
+    for label, values in enumerate(np.ascontiguousarray(marg.T)):
+        at = 0
+        for table, keys in zip(layout.tables, layout.keys):
+            binned = np.bincount(keys, weights=values, minlength=len(table))
+            # each bin once per rule, as ``ids`` holds the table
+            weights[at:at + table.size].reshape(table.shape)[:] = \
+                binned[:, None]
+            at += table.size
+        out[:, label] = np.bincount(layout.ids, weights=weights,
+                                    minlength=len(out))
 
 
 def viterbi(node: np.ndarray, lengths: np.ndarray, w_trans) -> np.ndarray:
@@ -409,14 +544,13 @@ _SCALED_RANGE = 300.0
 class BatchedObjective:
     """Vectorized objective over all sentences at once.
 
-    Takes the fixed-width id matrix and sentence lengths of an
-    ``EncodedCorpus`` and the gold ids of ``make_instances``, and keeps
-    the id matrix in the row order of the corpus's ``TimeMajor`` layout,
-    where each time step is one contiguous block of rows.  Node scores,
-    forward, backward, the transition expectations and the node gradient
-    all run in that one order.  Empirical counts do not depend on the
-    weights and are folded into one constant vector, so
-    f(w) = sum logZ_s - w . emp + ||w||^2/(2C).
+    Takes an ``EncodedCorpus`` and the gold ids of ``make_instances``,
+    and runs in the row order of the corpus's ``time_major`` layout, where
+    each time step is one contiguous block of rows.  Node scores (through
+    the corpus's grouped ``layout``), forward, backward, the transition
+    expectations and the node gradient all run in that one order.
+    Empirical counts do not depend on the weights and are folded into one
+    constant vector, so f(w) = sum logZ_s - w . emp + ||w||^2/(2C).
 
     Forward-backward runs in probability space with per-step scaling
     (Rabiner 1989): the node scores and the transitions are exponentiated
@@ -432,26 +566,27 @@ class BatchedObjective:
     value, and returns it with ``partial(self.gradient, weights,
     backward)``.  ``backward`` holds the forward state; the gradient runs
     the backward pass, the marginals, the transition expectations and the
-    node-gradient ``bincount`` from it.  Dropping the function releases
-    that state.
+    ``node_gradient`` from it.  Dropping the function releases that state.
     """
 
-    def __init__(self, alphabet: FeatureAlphabet, ids: np.ndarray,
-                 lengths: np.ndarray, gold: np.ndarray, C: float):
+    def __init__(self, alphabet: FeatureAlphabet, encoded: EncodedCorpus,
+                 gold: np.ndarray, C: float):
         self.alphabet = alphabet
         self.C = C
-        self.n_rules = ids.shape[1]
-        tm = self.tm = TimeMajor(lengths)
-        self.ids = ids[tm.rows].astype(np.intp, copy=False)  # bincount's type
+        tm = self.tm = encoded.time_major
+        self.layout = encoded.layout
         # the previous-step row of each row past step 0
         self.prev = (np.arange(len(tm.last), tm.off[-1])
                      - np.repeat(tm.active[:-1], tm.active[1:]))
 
-        # constant empirical-count vector; integer counts, so they can be
-        # accumulated in input order
+        # constant empirical-count vector: the node counts are the node
+        # gradient of the gold labels' indicator rows; integer counts, so
+        # any summation order gives them exactly
         emp = np.zeros(alphabet.dim)
         e_node, e_trans = alphabet.split(emp)
-        np.add.at(e_node, (ids.ravel(), np.repeat(gold, self.n_rules)), 1.0)
+        gold_rows = np.zeros((len(gold), alphabet.n_labels))
+        gold_rows[np.arange(len(gold)), gold[tm.rows]] = 1.0
+        node_gradient(gold_rows, self.layout, e_node)
         if e_trans is not None:
             nxt = tm.rows[len(tm.last):]  # rows past step 0: non-first positions
             np.add.at(e_trans, (gold[nxt - 1], gold[nxt]), 1.0)
@@ -463,7 +598,7 @@ class BatchedObjective:
         w_node, w_trans = self.alphabet.split(weights)
         if w_trans is not None and np.ptp(w_trans) > _SCALED_RANGE:
             return math.inf, None  # outside the domain: a rejected trial
-        log_z, backward = self._scaled(instance_lattice(w_node, self.ids),
+        log_z, backward = self._scaled(instance_lattice(w_node, self.layout),
                                        w_trans)
         value = log_z - optim.dot(weights, self.empirical)
         value += optim.dot(weights, weights) / (2.0 * self.C)
@@ -475,16 +610,10 @@ class BatchedObjective:
         """The gradient at ``weights`` from the forward pass's ``backward``
         function.  ``backward`` overwrites the forward state, so a gradient
         function that a call returned gives one gradient: call it once."""
-        a = self.alphabet
         marg, trans_expect = backward()
-
         grad = np.zeros_like(weights)
-        g_node, g_trans = a.split(grad)
-        fids = self.ids.ravel()
-        for y in range(a.n_labels):
-            g_node[:, y] = np.bincount(
-                fids, weights=np.repeat(marg[:, y], self.n_rules),
-                minlength=a.n_features)
+        g_node, g_trans = self.alphabet.split(grad)
+        node_gradient(marg, self.layout, g_node)
         if g_trans is not None:
             g_trans += trans_expect
 
@@ -569,14 +698,18 @@ class CrfModel:
         unseen in training, which gathers an appended zero row."""
         w_node, w_trans = self.alphabet.split(self.weights)
         w_node = np.vstack((w_node, np.zeros((1, w_node.shape[1]))))
-        path = viterbi(instance_lattice(w_node, ids), lengths, w_trans)
+        path = viterbi(instance_lattice(w_node, NodeLayout.per_position(ids)),
+                       lengths, w_trans)
         labels = np.array(self.alphabet.labels, dtype=object)[path].tolist()
         ends = np.cumsum(lengths).tolist()
         return [labels[end - n:end] for n, end in zip(lengths.tolist(), ends)]
 
-    def tag(self, doc: Document) -> list[list[str]]:
-        """Label rows of every sentence, decoded as one batch."""
-        strings, where = _features(self.template, doc.sentences)
+    def tag(self, doc: Document, shapes: dict | None = None
+            ) -> list[list[str]]:
+        """Label rows of every sentence, decoded as one batch.  ``shapes``
+        is ``feature_table``'s surface-shape dict, for a caller that tags
+        several documents."""
+        strings, where = _features(self.template, doc.sentences, shapes)
         get = self.alphabet.feat_index.get
         found = np.fromiter(map(get, strings, repeat(-1)), np.int32,
                             len(strings))
@@ -588,10 +721,11 @@ class CrfModel:
         """Label rows of each of ``docs``, in order.  Consecutive documents
         are tagged as one batch, a group that closes once it holds
         ``_TAG_POSITIONS`` tokens, so only one group's rows are alive at
-        a time."""
+        a time; each surface's kind and case are computed once in all."""
+        shapes = {}
         for group in _groups(docs, lambda d: sum(map(len, d.sentences))):
             rows = self.tag(Document("", [s for d in group
-                                          for s in d.sentences]))
+                                          for s in d.sentences]), shapes)
             yield from by_document(rows, group)
 
 
@@ -610,11 +744,10 @@ def train(docs: list[Document] | EncodedCorpus, template: FeatureTemplate,
         raise ConfigError("the encoding was expanded under another template")
     gold = make_instances(encoded.docs, scheme, event_type)
     if not gold.size:
-        raise ConfigError("no non-empty sentences to train on")
+        raise TrainingError("no non-empty sentences to train on")
     alphabet = FeatureAlphabet(scheme.labels, template.transitions,
                                encoded.feat_index)
-    objective = BatchedObjective(alphabet, encoded.ids, encoded.lengths, gold,
-                                 config.C)
+    objective = BatchedObjective(alphabet, encoded, gold, config.C)
     weights, log = optim.minimize(objective, np.zeros(alphabet.dim),
                                   eta=config.eta,
                                   max_iterations=config.max_iterations)

@@ -77,7 +77,8 @@ def check_distinct(name: str, values) -> None:
 
 
 class TrainingError(SpantagError):
-    """Optimization failed; carries the last iterate as a diagnostic."""
+    """Training failed: the corpus holds no tokens to train on, or the
+    optimizer failed, which carries its last iterate as a diagnostic."""
 
     def __init__(self, message: str, weights=None, log=None):
         self.weights = weights

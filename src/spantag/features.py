@@ -167,9 +167,14 @@ class FeatureTable:
         return [prefix + "/".join(cells) for cells in zip(*values)]
 
 
-def feature_table(sentences) -> FeatureTable:
+def feature_table(sentences, shapes: dict | None = None) -> FeatureTable:
     """The coded columns of ``sentences``: surface, stem, POS and chunk
-    coded per token, kind and case once per distinct surface."""
+    coded per token, kind and case once per distinct surface.  ``shapes``
+    maps a surface to its (kind, case) and gains the surfaces it lacks: a
+    caller that codes several groups passes one dict to every call, so
+    each surface is classified once in all."""
+    if shapes is None:
+        shapes = {}
     tokens = [t for s in sentences for t in s.tokens]
     lengths = [len(s.tokens) for s in sentences if s.tokens]
     frame = 2 * MAX_OFFSET
@@ -188,10 +193,14 @@ def feature_table(sentences) -> FeatureTable:
             len(tokens))
         values[col] = np.array(list(index), dtype=object)
     surfaces = values[1].tolist()
-    for col, shape in ((5, token_kind), (6, token_case)):
+    for s in surfaces:
+        if s not in shapes:
+            shapes[s] = token_kind(s), token_case(s)
+    # the surfaces start with the sentinels, so the columns are never empty
+    for col, cells in zip((5, 6), zip(*map(shapes.__getitem__, surfaces))):
         index = _coder()
-        of_surface = np.fromiter(map(index.__getitem__, map(shape, surfaces)),
-                                 np.intp, len(surfaces))
+        of_surface = np.fromiter(map(index.__getitem__, cells), np.intp,
+                                 len(surfaces))
         padded[col, rows] = of_surface[padded[1, rows]]
         values[col] = np.array(list(index), dtype=object)
     return FeatureTable(values, padded, rows)

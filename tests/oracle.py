@@ -6,7 +6,10 @@ A ``Lattice`` holds one sentence's log-space node and edge scores;
 recursion, ``viterbi`` the best path (lowest-index tie-break), and
 ``objective_and_gradient`` the regularized negative log-likelihood one
 sentence at a time.  ``crf.BatchedObjective`` and ``crf.viterbi`` must
-give the same values and paths.
+give the same values and paths.  ``node_scores`` and ``node_gradient``
+score and scatter a (positions, rules) id matrix position by position;
+``crf.instance_lattice`` and ``crf.node_gradient`` on a grouped
+``crf.NodeLayout`` must agree with them.
 
 The string expanders define the feature strings: ``feature_table`` is a
 sentence's rows of column values, ``expand`` the strings "id=v1/v2/..."
@@ -182,6 +185,32 @@ def objective_and_gradient(weights: np.ndarray, instances: list[Instance],
     if not np.isfinite(value) or not np.all(np.isfinite(grad)):
         raise NumericError("non-finite objective evaluation")
     return value, grad
+
+
+def node_scores(w_node: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Per-position node scores of a (positions, rules) id matrix: the
+    summed weight rows of each position's ids, one position at a time."""
+    node = np.zeros((len(ids), w_node.shape[1]))
+    for p, fids in enumerate(ids):
+        for f in fids:
+            node[p] += w_node[f]
+    return node
+
+
+def node_gradient(marg: np.ndarray, ids: np.ndarray,
+                  n_features: int) -> np.ndarray:
+    """The node gradient's scatter over repeated ids: row f sums the
+    (positions, L) ``marg`` rows of every (position, rule) whose id is f,
+    by one ``bincount`` per label over the id matrix, position by
+    position (what ``crf.BatchedObjective`` did before the grouped
+    ``crf.NodeLayout``)."""
+    n_rules = ids.shape[1]
+    out = np.zeros((n_features, marg.shape[1]))
+    for y in range(marg.shape[1]):
+        out[:, y] = np.bincount(ids.ravel().astype(np.intp),
+                                weights=np.repeat(marg[:, y], n_rules),
+                                minlength=n_features)
+    return out
 
 
 # --- feature strings ------------------------------------------------------

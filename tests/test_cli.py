@@ -303,6 +303,18 @@ class TestTrainCommand:
         assert rc == 1
         assert "line 2: column index 7" in capsys.readouterr().err
 
+    def test_corpus_without_tokens_is_a_data_error(self, workdir):
+        # a file's contents (exit 1), not a bad setting (exit 2)
+        given = workdir / "no_tokens.tsv"
+        given.write_text("#! doc = d0\n#! doc = d1\n", encoding="utf-8")
+        path = workdir / "no_tokens.model"
+        proc = run_cli("train", "--input", str(given), "--model", str(path),
+                       "--type", "ALPHA")
+        assert proc.returncode == 1
+        assert proc.stderr == ("spantag: error: cannot build an alphabet "
+                               "from an empty corpus\n")
+        assert not path.exists()
+
     # "$" would let a trailing newline through, and the model file written
     # for it would not load
     @pytest.mark.parametrize("event_type", ["NOPE X", "", "PROBLEM\n"])
@@ -577,6 +589,23 @@ class TestCrossvalAndStats:
         proc = run_cli("stats", "--matrix", str(path))
         assert proc.returncode == 1
         assert proc.stderr == "spantag: error: line 2: run matrix has no cells\n"
+        assert proc.stdout == ""
+
+    def test_fold_without_training_tokens_is_a_data_error(self, workdir,
+                                                          corpus_file):
+        # one document with tokens and five without: some fold trains on
+        # token-free documents alone, after every flag has been accepted
+        text = corpus_file.read_text("utf-8")
+        header, first, _ = text.split("#! doc = ", 2)
+        given = workdir / "mostly_empty.tsv"
+        given.write_text(header + "#! doc = " + first + "".join(
+            f"#! doc = e{i}\n" for i in range(5)), encoding="utf-8")
+        proc = run_cli("crossval", "--input", str(given), "--folds", "5",
+                       "--repeats", "1", "--models", "IO", "--types", "ALPHA",
+                       "--max-iter", "5")
+        assert proc.returncode == 1
+        assert proc.stderr == ("spantag: error: no non-empty sentences to "
+                               "train on\n")
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])

@@ -6,14 +6,15 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spantag import crf, synth
+from spantag import crf, features, synth
 from spantag.corpus import (Document, Sentence, Span, Token,
                             encode_document, write_column_file)
 from spantag.crf import (
@@ -30,8 +31,8 @@ from spantag.crf import (
     save_model,
     train,
 )
-from spantag.errors import ConfigError, ParseError
-from spantag.features import default_template, parse_template
+from spantag.errors import ConfigError, ParseError, TrainingError
+from spantag.features import SENTINELS, default_template, parse_template
 from spantag.postprocess import pipeline_spans
 from spantag.schemes import SCHEME_NAMES, get_scheme
 
@@ -43,6 +44,8 @@ from oracle import (
     feature_table,
     forward_backward,
     instance_lattice,
+    node_gradient,
+    node_scores,
     objective_and_gradient,
     sequence_score,
     string_alphabet,
@@ -193,13 +196,28 @@ def toy_instances(rng, alphabet, n_sentences, max_len, ragged=False):
     return instances
 
 
+def template_of(rules):
+    """A template with one rule per list of (row offset, column) cells."""
+    return parse_template("".join(
+        f"U{j:02d}:" + "/".join(f"%x[{row},{col}]" for row, col in cells)
+        + "\n" for j, cells in enumerate(rules)))
+
+
+def toy_template(n_rules):
+    """Rules, one per id column, that read row offsets -1, 0 and 1 in
+    turn, so the columns of toy ids fall into groups."""
+    return template_of([[(j % 3 - 1, 1)] for j in range(n_rules)])
+
+
 def batched(instances, alphabet, C):
     """The batched objective over fixed-width instances."""
     ids = np.array([fids for inst in instances for fids in inst.feats],
-                   dtype=np.intp)
+                   dtype=np.int32)
     lengths = np.array([len(inst.gold) for inst in instances], dtype=np.intp)
     gold = np.array([y for inst in instances for y in inst.gold], dtype=np.intp)
-    return BatchedObjective(alphabet, ids, lengths, gold, C)
+    encoded = crf.EncodedCorpus(alphabet.feat_index, ids, lengths, [],
+                                toy_template(ids.shape[1]))
+    return BatchedObjective(alphabet, encoded, gold, C)
 
 
 def check_central_differences(rng, instances, alphabet):
@@ -284,6 +302,62 @@ def assert_batched_matches_reference(instances, alphabet, w, C=0.7):
     np.testing.assert_allclose(got_grad, want_grad, atol=1e-10)
 
 
+class TestNodeLayout:
+    """The grouped layout against the per-position oracle: the same node
+    scores and node gradient, up to the order of summation."""
+
+    def test_rules_group_by_their_set_of_row_offsets(self):
+        assert crf.rule_groups(default_template()) == [
+            [0, 5, 10, 15, 20, 25], [1, 6, 11, 16, 21, 26],
+            [2, 7, 12, 17, 22, 27, 30], [3, 8, 13, 18, 23, 28],
+            [4, 9, 14, 19, 24, 29]]
+        template = template_of([[(-1, 1), (0, 1)], [(0, 3)], [(0, 2), (-1, 4)],
+                                [(-1, 2)]])
+        assert crf.rule_groups(template) == [[0, 2], [1], [3]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           rules=st.lists(st.lists(st.tuples(st.integers(-2, 2),
+                                             st.integers(1, 6)),
+                                   min_size=1, max_size=3), max_size=6),
+           lengths=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+           n_features=st.integers(1, 9), n_labels=st.integers(1, 4))
+    # a cross-offset rule beside a one-offset rule, 0- and 1-token
+    # sentences, a template without rules, one distinct id row, no rows
+    @example(seed=1, rules=[[(-1, 1), (0, 1)], [(0, 3)]], lengths=[0, 4, 1],
+             n_features=5, n_labels=3)
+    @example(seed=2, rules=[], lengths=[2, 0, 1], n_features=1, n_labels=2)
+    @example(seed=3, rules=[[(0, 1)], [(1, 2)]], lengths=[5, 3],
+             n_features=1, n_labels=2)
+    @example(seed=4, rules=[[(2, 6)]], lengths=[0, 0], n_features=3,
+             n_labels=1)
+    def test_grouped_matches_per_position(self, seed, rules, lengths,
+                                          n_features, n_labels):
+        rng = np.random.default_rng(seed)
+        # few features, so id rows repeat
+        ids = rng.integers(0, n_features, (sum(lengths), len(rules)),
+                           dtype=np.int32)
+        rows = crf.TimeMajor(np.array(lengths, dtype=np.intp)).rows
+        layout = crf.NodeLayout.grouped(ids, rows,
+                                        crf.rule_groups(template_of(rules)))
+        w_node = rng.normal(0.0, 1.0, (n_features, n_labels))
+        want = node_scores(w_node, ids[rows])
+        # relative to the summed magnitudes, as signed terms may cancel
+        scale = node_scores(np.abs(w_node), ids[rows])
+        for got in (crf.instance_lattice(w_node, layout),
+                    crf.instance_lattice(w_node,
+                                         crf.NodeLayout.per_position(
+                                             ids[rows]))):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        marg = rng.random((len(rows), n_labels))
+        got = np.full((n_features, n_labels), np.nan)
+        crf.node_gradient(marg, layout, got)
+        np.testing.assert_allclose(
+            got, node_gradient(marg, ids[rows], n_features), rtol=1e-12,
+            atol=0.0)
+
+
 class TestScaledForwardBackward:
     """The scaled (probability-space) path against the per-sentence
     log-space oracle, and its domain of transition weights."""
@@ -304,8 +378,7 @@ class TestScaledForwardBackward:
         assert_batched_matches_reference(instances, alphabet, w)
 
         objective = batched(instances, alphabet, C=0.7)
-        ids = np.array([f for inst in instances for f in inst.feats])
-        node = crf.instance_lattice(w_node, ids)[objective.tm.rows]
+        node = crf.instance_lattice(w_node, objective.layout)
         en = np.exp(node - node.max(axis=1, keepdims=True))
         alpha, c = objective._forward(en, np.exp(w_trans - w_trans.max()))
         assert np.all(c >= np.finfo(float).tiny)  # no scale 0 or subnormal
@@ -463,7 +536,7 @@ class TestInstances:
             assert (a.n_features, a.dim) == size
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(TrainingError):
             build_alphabet([build_doc("d0", [])], default_template())
 
     def test_empty_sentences_are_skipped(self):
@@ -631,6 +704,32 @@ class TestIntegerKeys:
         assert codes > 130 and codes ** 9 > 2 ** 63
         self.check(docs[:50], template, docs[50:])
 
+    def test_kind_and_case_once_per_surface_per_call(self, monkeypatch):
+        # groups of about 40 tokens, yet each distinct surface, and each
+        # sentinel (the surface column codes them first), is classified
+        # once per ``build_alphabet`` call and once per ``tag_documents``
+        docs = synth.generate(synth.default_profile(), 5, 12)
+        template = default_template(transitions=True)
+        model = train(docs, template, get_scheme("IOB"), "PROBLEM",
+                      TrainerConfig(max_iterations=2))
+        calls = Counter()
+        for name in ("token_kind", "token_case"):
+            def counting(surface, name=name, shape=getattr(features, name)):
+                calls[name] += 1
+                return shape(surface)
+            monkeypatch.setattr(features, name, counting)
+        monkeypatch.setattr(crf, "_TAG_POSITIONS", 40)
+        assert len(list(crf._groups(docs, lambda d: sum(
+            map(len, d.sentences))))) > 5
+        surfaces = len({t.surface for d in docs for s in d.sentences
+                        for t in s.tokens} | set(SENTINELS))
+        want = Counter(token_kind=surfaces, token_case=surfaces)
+        build_alphabet(docs, template)
+        assert calls == want
+        calls.clear()
+        list(model.tag_documents(docs))
+        assert calls == want
+
     @staticmethod
     def check_round_trip(docs, template):
         """train -> save_model -> load_model -> tag gives the trained
@@ -704,7 +803,7 @@ class TestTraining:
 
     def test_no_trainable_sentences_rejected(self):
         docs = [build_doc("d0", [Sentence([])])]
-        with pytest.raises(ConfigError):
+        with pytest.raises(TrainingError):
             train(docs, default_template(), get_scheme("IO"), "PROBLEM")
 
     @pytest.mark.parametrize("kwargs", [
@@ -1100,9 +1199,11 @@ def test_golden_digests():
     the time-major objective replaced the per-sentence paths, so it pins
     the output bytes across such rewrites.  The model-file digest was
     re-pinned when the objective moved to scaled forward-backward, when
-    the node gradient moved to the time-major row order, and when the
+    the node gradient moved to the time-major row order, when the
     optimizer's and the objective's 1-D dot products moved from BLAS to
-    ``optim.dot``: each time the summation order changed, and with it
+    ``optim.dot``, and when node scores and the node gradient moved to
+    the grouped ``NodeLayout`` (sums per distinct id row, then per
+    position): each time the summation order changed, and with it
     the last bits of the weights, but not one tag.  Both hold for one
     numpy build: a different exp/log or einsum implementation may change
     the last bits of the weights, and the digests must then be
@@ -1118,7 +1219,7 @@ def test_golden_digests():
               for d in docs[20:]]
     out = write_column_file(tagged, clone.scheme, ["PROBLEM"])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "1194ca76c428424e905d63c88bda430f7e30160349b605873588324f93fba2c0")
+        "fd2c8dba36b2a8b36fd89eabf7131cd9c6c0e80029023804e661cc5a3cd6b7cd")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a906f8cd2728672c0280059309ed303829e2d149fcbb43036f822dbe5d584a8f")
 
@@ -1131,7 +1232,7 @@ def test_golden_digest_without_transitions():
     _, model = golden_training(transitions=False)
     assert not model.alphabet.transitions
     assert hashlib.sha256(save_model(model).encode()).hexdigest() == (
-        "09b098121ee59898110c9509b7acf8d2658047c43d2c9e8bdb29a3e8865ea7d6")
+        "ccc60c385e9e91b961a9dfaf79964d439687d24c43a0896b48d9543693f6cb8f")
 
 
 def test_model_bytes_do_not_depend_on_blas_threads():

@@ -166,8 +166,8 @@ class TestFailureModes:
         encoded = crf.build_alphabet(docs, template)
         alphabet = crf.FeatureAlphabet(scheme.labels, True, encoded.feat_index)
         objective = crf.BatchedObjective(
-            alphabet, encoded.ids, encoded.lengths,
-            crf.make_instances(docs, scheme, "PROBLEM"), C=1.0)
+            alphabet, encoded, crf.make_instances(docs, scheme, "PROBLEM"),
+            C=1.0)
         x0 = np.zeros(alphabet.dim)
         x0[-1] = 400.0
         with pytest.raises(NumericError):

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from spantag import stats, synth
+from spantag import crf, stats, synth
 from spantag.corpus import Sentence, Span
 from spantag.crf import TrainerConfig, train
 from spantag.errors import ConfigError, ParseError
 from spantag.evaluation import f1_scores
 from spantag.features import default_template
-from spantag.postprocess import pipeline_spans
+from spantag.postprocess import ExpanderConfig, pipeline_spans
 from spantag.rng import derive_seed
 from spantag.schemes import get_scheme
 from spantag.stats import (
@@ -461,6 +461,31 @@ class TestCrossval:
                       event_types=("ALPHA", "BETA"))
         assert crossval(docs, cv, FAST_TRAINER).tsv() == \
             per_fold_crossval(docs, cv, FAST_TRAINER).tsv()
+
+    def test_fold_builds_one_layout_for_its_schemes(self, monkeypatch):
+        # the grouped node layout depends on neither scheme nor event
+        # type: a fold's IO, IOB and IOBW trainings share one
+        template = default_template(transitions=True)
+        encoded = crf.build_alphabet(tiny_corpus(), template)
+        built, trained = [], []
+        grouped, train_ = crf.NodeLayout.grouped, crf.train
+
+        def counting_grouped(*args):
+            built.append(args)
+            return grouped(*args)
+
+        def counting_train(*args, **kwargs):
+            trained.append(args[2].name)
+            return train_(*args, **kwargs)
+
+        monkeypatch.setattr(crf.NodeLayout, "grouped", counting_grouped)
+        monkeypatch.setattr(crf, "train", counting_train)
+        results = stats._run_fold(encoded, MODEL_NAMES, FAST_TRAINER,
+                                  template, ExpanderConfig(), "PROBLEM",
+                                  [0, 1])
+        assert set(results) == set(MODEL_NAMES)
+        assert trained == ["IO", "IOB", "IOBW"]
+        assert len(built) == 1
 
     def test_types_default_to_those_of_the_corpus(self):
         cv = CvConfig(repeats=1, folds=2, seed=7, models=("IOB",))
