@@ -16,16 +16,20 @@ call runs the forward pass for f(w) and returns a function that runs
 the backward pass for the gradient, so a rejected line-search trial
 costs one forward pass.
 
-Each layout decision has one home.  ``_features`` encodes a group of
+Each layout decision has one home.  Both encoders take a group of
 about ``_TAG_POSITIONS`` tokens through integer keys
-(``feature_table``, ``expand_sentence``): it builds each distinct
+(``feature_table``, ``expand_sentence``) to its fixed-width (positions,
+rules) id matrix.  For training, ``_features`` builds each distinct
 (rule, key) pair's feature string once, in order of first occurrence,
-and maps each position to its strings, so one lookup of the distinct
-strings gives the group's fixed-width (positions, rules) id matrix.
-``intern``, the one interning rule, numbers them by first occurrence in
-C, over every group of a training corpus, and tagging gives an unseen
-one -1.  ``build_alphabet`` is the one encoder from documents to an
-``EncodedCorpus``, which depends on neither scheme nor event type;
+and ``intern``, the one interning rule, numbers the strings by first
+occurrence in C, over every group of a training corpus.  For tagging,
+``CrfModel.tag`` builds no string for a one-cell rule: its key is its
+column's code, so one lookup per distinct column value in the model's
+``rule_values`` index gives the rule's ids; a multi-cell rule's
+distinct keys build their strings and look them up whole.  Tagging
+gives an unseen feature -1.  ``build_alphabet`` is the one encoder from
+documents to an ``EncodedCorpus``, which depends on neither scheme nor
+event type;
 ``EncodedCorpus.fold`` renumbers a subset of its documents by the same
 first-occurrence rule, so cross-validation expands a corpus once and
 each fold trains on exactly the ids ``build_alphabet`` would give its
@@ -209,7 +213,8 @@ class EncodedCorpus:
         train_ids = self.ids[~test_row]
         found, first = np.unique(train_ids, return_index=True)
         kept = found[np.argsort(first)]  # old ids, by first occurrence
-        renumber = np.full(self.n_features, -1, dtype=np.intp)
+        # int32, as ``intern`` gives: each part's ids are ``renumber``'s type
+        renumber = np.full(self.n_features, -1, dtype=np.int32)
         renumber[kept] = np.arange(len(kept))
         strings = list(self.feat_index)
         feat_index = dict(zip(map(strings.__getitem__, kept.tolist()),
@@ -247,13 +252,13 @@ def _groups(items, size):
 
 
 def _features(template: FeatureTemplate, sentences, shapes: dict | None):
-    """(strings, where) of a group of sentences: the distinct feature
-    strings in order of first occurrence, position by position and one
-    per template rule, and the (positions, rules) index of each
+    """(strings, where) of a group of training sentences: the distinct
+    feature strings in order of first occurrence, position by position
+    and one per template rule, and the (positions, rules) index of each
     occurrence's string in them.  Positions that share a rule's key
     (``expand_sentence``) share its string, so each distinct (rule, key)
     builds its string once, at its first position; two keys may still
-    build one string, and then share its id when it is looked up.
+    build one string, and then share its id when it is interned.
     ``shapes`` is ``feature_table``'s, one dict over a caller's groups."""
     table = feature_table(sentences, shapes)
     # a (rule, key) pair's slot: rule j's keys take slots j*width onwards
@@ -704,17 +709,52 @@ class CrfModel:
         ends = np.cumsum(lengths).tolist()
         return [labels[end - n:end] for n, end in zip(lengths.tolist(), ends)]
 
+    @cached_property
+    def rule_values(self) -> list[dict[str, int] | None]:
+        """Per template rule, in order: for a one-cell rule, the value part
+        of each of its features mapped to the feature's id; for a
+        multi-cell rule, None.  One pass over ``feat_index``: a rule id
+        matches ``U\\w*``, so the first "=" ends it, and a string of no
+        rule of the template is in no dict, as tagging never builds it."""
+        by_id = {rule.id: {} for rule in self.template.rules
+                 if len(rule.cells) == 1}
+        for feature, fid in self.alphabet.feat_index.items():
+            rule_id, sep, value = feature.partition("=")
+            values = by_id.get(rule_id)
+            if sep and values is not None:
+                values[value] = fid
+        return [by_id.get(rule.id) for rule in self.template.rules]
+
     def tag(self, doc: Document, shapes: dict | None = None
             ) -> list[list[str]]:
         """Label rows of every sentence, decoded as one batch.  ``shapes``
         is ``feature_table``'s surface-shape dict, for a caller that tags
-        several documents."""
-        strings, where = _features(self.template, doc.sentences, shapes)
-        get = self.alphabet.feat_index.get
-        found = np.fromiter(map(get, strings, repeat(-1)), np.int32,
-                            len(strings))
+        several documents.
+
+        A one-cell rule's key is its column's code (``expand_sentence``),
+        so its ids are one ``rule_values`` lookup per distinct column value
+        and one gather by key: no feature string is built.  A multi-cell
+        rule builds the string of each distinct key and looks it up in
+        ``feat_index``, as two keys may join to one string.  Unseen
+        features get -1."""
+        table = feature_table(doc.sentences, shapes)
+        keys = expand_sentence(self.template, table)
+        ids = np.empty(keys.shape, dtype=np.int32)
+        for j, (rule, values) in enumerate(zip(self.template.rules,
+                                               self.rule_values)):
+            if values is None:
+                _, first, key = np.unique(keys[:, j], return_index=True,
+                                          return_inverse=True)
+                strings = table.strings(rule, first)
+                get = self.alphabet.feat_index.get
+            else:
+                strings, key = table.values[rule.cells[0][1]], keys[:, j]
+                get = values.get
+            found = np.fromiter(map(get, strings, repeat(-1)), np.int32,
+                                len(strings))
+            ids[:, j] = found[key]
         return self._decode(
-            found[where],
+            ids,
             np.array([len(s.tokens) for s in doc.sentences], dtype=np.intp))
 
     def tag_documents(self, docs: list[Document]):
@@ -833,6 +873,12 @@ def load_model(text: str) -> CrfModel:
     names = (raw.partition("\t")[2].partition("\t")[0]  # a feature's first row
              for raw in rows[:n_features * L:L])
     alphabet = FeatureAlphabet(labels, transitions, intern(names)[0])
+    # the first row of the first feature that names no rule of the template,
+    # or -1: a feature is "id=value", and its head is the id with the first
+    # "=" ("" where it has none)
+    heads = {rule.id + "=" for rule in template.rules}
+    stray = next((fid * L for fid, name in enumerate(alphabet.feat_index)
+                  if name[:name.find("=") + 1] not in heads), -1)
     weights = np.zeros(expected)
     layout = zip_longest(rows, alphabet.cells())  # None past a short layout
     for pos, (raw, cell) in enumerate(layout):
@@ -851,5 +897,8 @@ def load_model(text: str) -> CrfModel:
         if (idx, (feat, lab)) != (pos, cell):  # rows are written in order
             raise ParseError(f"row {idx} ({feat}, {lab}) does not match "
                              f"layout entry {pos} {cell}", row_no)
+        if pos == stray:
+            raise ParseError(f"feature {feat!r} names no rule of the "
+                             "template", row_no)
         weights[pos] = weight
     return CrfModel(alphabet, weights, scheme, template, event_type)

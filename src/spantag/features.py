@@ -16,8 +16,10 @@ places past a sentence's edge.  The strings are not built per position:
 sentinels first, and ``expand_sentence`` gives each rule a key per
 position from those codes, equal where the cells' values are equal.
 ``FeatureTable.strings`` builds a rule's strings at chosen positions, so
-``crf`` builds one per distinct key.  The per-position string expansion
-that defines these strings is the test oracle in ``tests/oracle.py``.
+``crf`` builds one per distinct key, and when tagging only for
+multi-cell rules: a one-cell rule's key is its column's code.  The
+per-position string expansion that defines these strings is the test
+oracle in ``tests/oracle.py``.
 """
 
 import re
@@ -29,7 +31,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import ParseError, split_lines
-from .textprep import token_case, token_kind
+from .textprep import CASES, KINDS, token_case, token_kind
 
 N_COLUMNS = 7  # index 0 unused so template column numbers apply directly
 
@@ -130,6 +132,8 @@ def default_template(transitions: bool = False) -> FeatureTemplate:
 SENTINELS = (tuple(f"_B{r}" for r in range(-MAX_OFFSET, 0))
              + tuple(f"_B+{k}" for k in range(1, MAX_OFFSET + 1)))
 _KEY_LIMIT = 2 ** 63  # keys are int64
+# one (kind, case) tuple per pair, shared by every surface of that shape
+_SHAPES = {(kind, case): (kind, case) for kind in KINDS for case in CASES}
 
 
 def _coder():
@@ -172,7 +176,8 @@ def feature_table(sentences, shapes: dict | None = None) -> FeatureTable:
     coded per token, kind and case once per distinct surface.  ``shapes``
     maps a surface to its (kind, case) and gains the surfaces it lacks: a
     caller that codes several groups passes one dict to every call, so
-    each surface is classified once in all."""
+    each surface is classified once in all.  Surfaces of one shape share
+    one tuple, so the dict holds no tuple per surface."""
     if shapes is None:
         shapes = {}
     tokens = [t for s in sentences for t in s.tokens]
@@ -195,7 +200,7 @@ def feature_table(sentences, shapes: dict | None = None) -> FeatureTable:
     surfaces = values[1].tolist()
     for s in surfaces:
         if s not in shapes:
-            shapes[s] = token_kind(s), token_case(s)
+            shapes[s] = _SHAPES[token_kind(s), token_case(s)]
     # the surfaces start with the sentinels, so the columns are never empty
     for col, cells in zip((5, 6), zip(*map(shapes.__getitem__, surfaces))):
         index = _coder()
@@ -211,7 +216,8 @@ def expand_sentence(template: FeatureTemplate,
     """The (positions, rules) key of every rule at every position of
     ``table``.  Two positions share a rule's key exactly when they share
     the codes of its cells, and every key is below ``len(table) +
-    len(SENTINELS)``, as a one-cell rule's codes are.  A multi-cell rule's
+    len(SENTINELS)``, as a one-cell rule's codes are: its key is its
+    column's code, which ``CrfModel.tag`` relies on.  A multi-cell rule's
     key is mixed-radix over its columns' code counts, renumbered by
     ``np.unique`` where the next cell would pass int64 and once more at
     the end if it passes that bound."""

@@ -32,7 +32,8 @@ from spantag.crf import (
     train,
 )
 from spantag.errors import ConfigError, ParseError, TrainingError
-from spantag.features import SENTINELS, default_template, parse_template
+from spantag.features import (DEFAULT_TEMPLATE_TEXT, SENTINELS,
+                              default_template, parse_template)
 from spantag.postprocess import pipeline_spans
 from spantag.schemes import SCHEME_NAMES, get_scheme
 
@@ -572,6 +573,7 @@ class TestFoldEncoding:
         train_part, test_part = build_alphabet(docs, template).fold(test_idx)
 
         alone = build_alphabet(train_docs, template)
+        assert train_part.ids.dtype == test_part.ids.dtype == np.int32
         assert list(train_part.feat_index) == list(alone.feat_index)
         np.testing.assert_array_equal(train_part.ids, alone.ids)
         np.testing.assert_array_equal(train_part.lengths, alone.lengths)
@@ -608,6 +610,13 @@ class TestFoldEncoding:
         assert model.alphabet.feat_index is encoded.feat_index
 
 
+# cells that read like feature syntax: a value holding "=" or "/", and a
+# surface that spells a feature string
+_RULE_SYNTAX = Sentence([Token("a=b", "U00=c", "x/y", "="),
+                         Token("U00=c", "a/b", "=", "B/I"),
+                         Token("c", "c", "a=b", "x/y")])
+
+
 class TestIntegerKeys:
     """The integer-key encoder against the string oracle: the same
     ``feat_index`` order and id matrix from ``build_alphabet``, and the
@@ -628,6 +637,14 @@ class TestIntegerKeys:
         return np.concatenate(seen) if seen else None
 
     def check(self, docs, template, held_out):
+        # cells that hold "=" and "/", and a surface that spells a feature,
+        # in training and held out; the held-out copy adds unseen values.
+        # Added at the ends that keep the callers' groups: the first
+        # training group, and the last held-out one
+        docs = [*docs, build_doc("syntax", [_RULE_SYNTAX])]
+        held_out = [build_doc("syntax", [
+            _RULE_SYNTAX, Sentence([Token("a=b", "U00=d", "e/=", "/")])]),
+            *held_out]
         feat_index, want = string_alphabet(docs, template)
         encoded = build_alphabet(docs, template)
         assert list(encoded.feat_index) == list(feat_index)
@@ -729,6 +746,63 @@ class TestIntegerKeys:
         calls.clear()
         list(model.tag_documents(docs))
         assert calls == want
+
+    @pytest.mark.parametrize("template", [
+        "U00:%x[0,1]\nU01:%x[-1,2]\nU02:%x[1,3]\nU03:%x[0,4]\n",
+        "U00:%x[0,1]/%x[0,2]\nU01:%x[-1,3]/%x[1,4]\nU02:%x[0,1]\n",
+        DEFAULT_TEMPLATE_TEXT])
+    def test_cells_that_hold_rule_syntax(self, template):
+        # one-cell rules look values up and multi-cell rules strings, so
+        # values holding "=" or "/" must name the same features both ways
+        template = parse_template(template)
+        docs = [build_doc("d0", [_RULE_SYNTAX, _RULE_SYNTAX],
+                          [Span(0, 0, 2, "PROBLEM")])]
+        encoded = build_alphabet(docs, template)
+        assert any("=" in f.partition("=")[2] for f in encoded.feat_index)
+        self.check(docs, template, docs)
+        self.check_round_trip(docs, template)
+
+    def test_strings_of_rules_outside_the_template_are_never_found(self):
+        # an in-memory model may hold strings that no rule of its template
+        # builds; tagging finds only the template's own features
+        docs = synth.generate(synth.default_profile(), 4, 4)
+        template = parse_template("U00:%x[0,1]\nU01:%x[0,1]/%x[0,3]\n")
+        encoded = build_alphabet(docs[:2], template)
+        surface = docs[2].sentences[0].tokens[0].surface
+        strays = [f"U05={surface}", f"U99={surface}", "U00", "U01",
+                  "Z9=foo", f"U0={surface}"]
+        feat_index, _ = intern([*encoded.feat_index, *strays])
+        alphabet = FeatureAlphabet(("O", "I"), False, feat_index)
+        model = CrfModel(alphabet, np.zeros(alphabet.dim), get_scheme("IO"),
+                         template, "PROBLEM")
+        assert model.rule_values[1] is None
+        assert sum(map(len, model.rule_values[:1])) == sum(
+            f.startswith("U00=") for f in encoded.feat_index)
+        sentences = [s for d in docs[2:] for s in d.sentences]
+        got = self.decoded_ids(model, docs[2:])
+        np.testing.assert_array_equal(
+            got, string_ids(template, sentences, encoded.feat_index))
+        np.testing.assert_array_equal(
+            got, string_ids(template, sentences, feat_index))
+
+    def test_only_multi_cell_rules_build_strings(self, monkeypatch):
+        # with the default template, only the conjunction U30 builds
+        # feature strings; the other 30 rules look their values up
+        docs = synth.generate(synth.default_profile(), 6, 6)
+        template = default_template(transitions=True)
+        model = train(docs[:3], template, get_scheme("IOB"), "PROBLEM",
+                      TrainerConfig(max_iterations=2))
+        built = Counter()
+        strings = features.FeatureTable.strings
+
+        def counting(self, rule, positions):
+            built[rule.id] += 1
+            return strings(self, rule, positions)
+
+        monkeypatch.setattr(features.FeatureTable, "strings", counting)
+        for doc in docs[3:]:
+            model.tag(doc)
+        assert built == Counter(U30=3)
 
     @staticmethod
     def check_round_trip(docs, template):
@@ -910,6 +984,8 @@ class TestModelFile:
                              unique=True))
     def test_save_load_save_is_byte_identical(self, data, scheme_name,
                                               transitions, features):
+        # any value text, behind the id of the template's one rule
+        features = ["U00=" + value for value in features]
         scheme = get_scheme(scheme_name)
         alphabet = FeatureAlphabet(scheme.labels, transitions,
                                    intern(features)[0])
@@ -1060,6 +1136,25 @@ class TestModelFile:
             load_model("\n".join(lines) + "\n")
         assert exc.value.line == at + 1
         assert "does not match layout" in str(exc.value)
+
+    @pytest.mark.parametrize("name", ["Z9=foo", "U99=pain", "U00", "pain"])
+    def test_rejects_feature_of_no_template_rule(self, trained, name):
+        # the second and fourth features renamed in all their rows: the
+        # error names the second at its first row
+        _, model = trained
+        lines = save_model(model).splitlines()
+        first = next(i for i, line in enumerate(lines)
+                     if line.startswith("features = ")) + 1
+        L = len(model.scheme.labels)
+        for fid, new in ((1, name), (3, "Z9=bar")):
+            for at in range(first + fid * L, first + (fid + 1) * L):
+                idx, _, lab, weight = lines[at].split("\t")
+                lines[at] = "\t".join([idx, new, lab, weight])
+        with pytest.raises(ParseError) as exc:
+            load_model("\n".join(lines) + "\n")
+        assert exc.value.line == first + L + 1
+        assert str(exc.value) == (f"line {first + L + 1}: feature {name!r} "
+                                  "names no rule of the template")
 
     def test_template_error_carries_model_file_line(self, trained):
         _, model = trained

@@ -208,6 +208,17 @@ class TestIntegerKeys:
             [0, 1, 2, 3]
         assert table.values[1][:8].tolist() == list(features.SENTINELS)
 
+    def test_surfaces_of_one_shape_share_one_tuple(self):
+        # two lowercase words, in one call and across calls with their
+        # own dicts, share one (kind, case) tuple object
+        first, second = {}, {}
+        features.feature_table([build_sentence(("pain", "NN", "O"),
+                                               ("fever", "NN", "O"))], first)
+        features.feature_table([build_sentence(("cough", "NN", "O"))], second)
+        assert first["pain"] == ("word", "lowercase")
+        assert first["pain"] is first["fever"] is second["cough"]
+        assert first["_B-1"] == ("symbol", "allCaps")  # a sentinel's shape
+
     @settings(max_examples=100, deadline=None)
     @given(pick=st.lists(st.integers(0, len(_SYNTH_SENTENCES) - 1),
                          max_size=6),
