@@ -61,13 +61,21 @@ encoding shares it.  Decoding passes ``NodeLayout.per_position``, all
 rules in one group keyed by position, through the same scorer.  The
 per-sentence reference implementations that the tests compare this code
 against live in ``tests/oracle.py``.
+
+The model file (``save_model``, ``load_model``) is ``spantag-crf v2``:
+header lines, then one row per feature, in id order, and with
+transitions one ``_TRANS_<label>`` row per previous label, each row its
+name and its L weights as ``float.hex`` text.  A feature's weights
+travel with its name, so the reader numbers the features by row and
+needs no index; a file of any other format, v1 included, fails at
+line 1 and its model must be retrained.
 """
 
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import count, repeat, zip_longest
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -79,7 +87,7 @@ from .features import (_KEY_LIMIT, SENTINELS, FeatureTemplate, _renumber,
                        expand_sentence, feature_table, parse_template)
 from .schemes import Scheme, get_scheme
 
-MODEL_FORMAT = "spantag-crf v1"
+MODEL_FORMAT = "spantag-crf v2"
 _TRANS_MARK = "_TRANS_"
 
 
@@ -122,8 +130,7 @@ class FeatureAlphabet:
     A weight vector holds one row of n_labels node weights per feature,
     in id order, followed by the (n_labels, n_labels) transition weights
     (previous label, then current) when transitions are enabled.
-    ``dim`` is its size, ``split`` views its two parts and ``cells``
-    names its entries in order.
+    ``dim`` is its size and ``split`` views its two parts.
     """
 
     def __init__(self, labels: tuple[str, ...], transitions: bool,
@@ -152,17 +159,6 @@ class FeatureAlphabet:
         n_node = self.n_features * L
         trans = vector[n_node:].reshape(L, L) if self.transitions else None
         return vector[:n_node].reshape(-1, L), trans
-
-    def cells(self):
-        """(feature, label) names of the layout's entries, in order; a
-        transition is named (``_TRANS_``, "previous,current")."""
-        for feature in self.feat_index:
-            for label in self.labels:
-                yield feature, label
-        if self.transitions:
-            for prev in self.labels:
-                for cur in self.labels:
-                    yield _TRANS_MARK, f"{prev},{cur}"
 
 
 @dataclass
@@ -330,6 +326,8 @@ class TimeMajor:
     its sentences are the first active[t] rows of block t-1.  ``rows[r]``
     is the position of row r in the concatenation of the sentences in
     their given order, and ``last[s]`` the row of sentence s's last step.
+    ``first`` is block 0, and ``steps`` pairs each later block with the
+    rows of the block before it that continue into it.
     """
 
     def __init__(self, lengths: np.ndarray):
@@ -351,10 +349,18 @@ class TimeMajor:
     def n_steps(self) -> int:
         return len(self.active)
 
-    def block(self, t: int, k: int | None = None) -> slice:
-        """Rows of step t, or of its first k sentences."""
-        lo = self.off[t]
-        return slice(lo, self.off[t + 1] if k is None else lo + k)
+    @property
+    def first(self) -> slice:
+        """Rows of step 0."""
+        return slice(0, int(self.off[1]) if self.n_steps else 0)
+
+    @cached_property
+    def steps(self) -> list[tuple[slice, slice]]:
+        """(rows of step t-1 that continue to step t, rows of step t) for
+        each step t past the first, built once."""
+        off, active = self.off.tolist(), self.active.tolist()
+        return [(slice(off[t - 1], off[t - 1] + active[t]),
+                 slice(off[t], off[t + 1])) for t in range(1, len(active))]
 
 
 # tokens that close a group of sentences that ``_features`` encodes
@@ -506,19 +512,14 @@ def viterbi(node: np.ndarray, lengths: np.ndarray, w_trans) -> np.ndarray:
         w_trans = np.zeros((node.shape[1],) * 2)
     delta = np.empty_like(node)
     back = np.empty(node.shape, dtype=np.intp)  # block 0 is never read
-    first = tm.block(0)
-    delta[first] = node[first]
-    for t in range(1, tm.n_steps):
-        prev = delta[tm.block(t - 1, tm.active[t])]
-        cur = tm.block(t)
-        scores = prev[:, :, None] + w_trans[None]
+    delta[tm.first] = node[tm.first]
+    for prev, cur in tm.steps:
+        scores = delta[prev][:, :, None] + w_trans[None]
         back[cur] = np.argmax(scores, axis=1)  # first max = lowest index
         delta[cur] = node[cur] + np.max(scores, axis=1)
     path[tm.last] = np.argmax(delta[tm.last], axis=1)
-    for t in range(tm.n_steps - 2, -1, -1):
-        k = tm.active[t + 1]
-        nxt = tm.block(t + 1)
-        path[tm.block(t, k)] = back[nxt][np.arange(k), path[nxt]]
+    for prev, cur in reversed(tm.steps):
+        path[prev] = back[cur][np.arange(cur.stop - cur.start), path[cur]]
     out = np.empty_like(path)
     out[tm.rows] = path
     return out
@@ -655,15 +656,13 @@ class BatchedObjective:
         tm = self.tm
         alpha = np.empty_like(en)
         c = np.empty(len(en))
-        first = tm.block(0)
+        first = tm.first
         c[first] = en[first].sum(axis=1)
         np.divide(en[first], c[first, None], out=alpha[first])
-        for t in range(1, tm.n_steps):
-            rows = tm.block(t)
-            cur = np.matmul(alpha[tm.block(t - 1, tm.active[t])], T,
-                            out=alpha[rows])
+        for prev, rows in tm.steps:
+            cur = np.matmul(alpha[prev], T, out=alpha[rows])
             cur *= en[rows]
-            c[rows] = cur.sum(axis=1)
+            np.sum(cur, axis=1, out=c[rows])
             cur /= c[rows, None]
         return alpha, c
 
@@ -676,10 +675,9 @@ class BatchedObjective:
         # backward message into a row, and weights its transition counts
         beta = np.ones_like(en)
         u = np.divide(en, c[:, None], out=en)
-        for t in range(tm.n_steps - 1, 0, -1):
-            nxt = tm.block(t)
+        for prev, nxt in reversed(tm.steps):
             u[nxt] *= beta[nxt]
-            np.matmul(u[nxt], T.T, out=beta[tm.block(t - 1, tm.active[t])])
+            np.matmul(u[nxt], T.T, out=beta[prev])
 
         trans_expect = T * (alpha[self.prev].T @ u[len(tm.last):])
         alpha *= beta
@@ -797,13 +795,20 @@ def train(docs: list[Document] | EncodedCorpus, template: FeatureTemplate,
 # --- model file I/O ---------------------------------------------------------
 
 def save_model(model: CrfModel) -> str:
-    """Versioned text serialization with exact (round-trip) weights."""
+    """Versioned text serialization with exact (round-trip) weights.
+
+    After the header lines come one row per feature, in id order, then,
+    with transitions, one ``_TRANS_<label>`` row per previous label, in
+    label order.  A row is its name and its L weights (one per label, in
+    ``labels`` order, so a transition row holds the label's outgoing
+    weights), tab-separated; each weight is written by ``float.hex``,
+    which gives the exact value."""
     a = model.alphabet
     template_text = model.template.text
     if not template_text.endswith("\n"):
         template_text += "\n"
     template_lines = split_lines(template_text)
-    lines = [
+    header = [
         MODEL_FORMAT,
         f"scheme = {model.scheme.name}",
         f"event_type = {model.event_type}",
@@ -811,18 +816,47 @@ def save_model(model: CrfModel) -> str:
         f"labels = {' '.join(a.labels)}",
         f"template_lines = {len(template_lines)}",
         *template_lines,
+        f"features = {a.n_features}",
     ]
-    lines.append(f"features = {a.n_features}")
-    for idx, ((feat, lab), weight) in enumerate(zip(a.cells(), model.weights)):
-        lines.append(f"{idx}\t{feat}\t{lab}\t{float(weight)!r}")
-    return "\n".join(lines) + "\n"
+    names = list(a.feat_index)
+    if a.transitions:
+        names += [_TRANS_MARK + label for label in a.labels]
+    L = a.n_labels
+    weights = list(map(float.hex, model.weights.tolist()))
+    rows = map("\t".join, zip(names, *(weights[y::L] for y in range(L))))
+    return "\n".join(chain(header, rows)) + "\n"
+
+
+def _weight_error(cell: str) -> str | None:
+    """Why ``load_model`` rejects a weight cell, or None.  A weight is
+    ``float.hex`` text, which starts "0x" or "-0x": ``float.fromhex``
+    would read decimal digits as hex ("1.5" as 1.3125), and the prefix
+    leaves no way to spell "inf" or "nan"."""
+    if not cell.startswith(("0x", "-0x")):
+        try:
+            value = float(cell)
+        except ValueError:
+            return f"weight {cell!r} is not a hexadecimal float"
+        if not math.isfinite(value):
+            return f"non-finite weight {cell!r}"
+        return f"decimal weight {cell!r}; weights are written by float.hex"
+    try:
+        float.fromhex(cell)
+    except OverflowError:
+        return f"non-finite weight {cell!r}"
+    except ValueError:
+        return f"weight {cell!r} is not a hexadecimal float"
+    return None
 
 
 def load_model(text: str) -> CrfModel:
+    """The model of a ``save_model`` text.  Each row is checked and
+    converted as it is read; any fault is a ``ParseError`` at its line."""
     lines = split_lines(text)
     if not lines or lines[0] != MODEL_FORMAT:
         got = lines[0] if lines else "<empty>"
-        raise ParseError(f"unsupported model format {got!r}", 1)
+        raise ParseError(f"unsupported model format {got!r} "
+                         f"(expected {MODEL_FORMAT!r})", 1)
 
     def header(line_no, key):
         raw = lines[line_no - 1] if line_no <= len(lines) else ""
@@ -865,40 +899,42 @@ def load_model(text: str) -> CrfModel:
     n_features = count(cursor + 1, "features")
 
     L = len(labels)
-    expected = n_features * L + (L * L if transitions else 0)
+    trans_names = ([_TRANS_MARK + label for label in labels] if transitions
+                   else [])
     rows = lines[cursor + 1:]
-    if len(rows) != expected:
-        raise ParseError(f"expected {expected} weight rows, got {len(rows)}",
-                         len(lines))
-    names = (raw.partition("\t")[2].partition("\t")[0]  # a feature's first row
-             for raw in rows[:n_features * L:L])
-    alphabet = FeatureAlphabet(labels, transitions, intern(names)[0])
-    # the first row of the first feature that names no rule of the template,
-    # or -1: a feature is "id=value", and its head is the id with the first
-    # "=" ("" where it has none)
+    if len(rows) != n_features + len(trans_names):
+        raise ParseError(f"expected {n_features + len(trans_names)} weight "
+                         f"rows, got {len(rows)}", len(lines))
+    # a feature is "id=value", and its head is the id with the first "="
+    # ("" where it has none)
     heads = {rule.id + "=" for rule in template.rules}
-    stray = next((fid * L for fid, name in enumerate(alphabet.feat_index)
-                  if name[:name.find("=") + 1] not in heads), -1)
-    weights = np.zeros(expected)
-    layout = zip_longest(rows, alphabet.cells())  # None past a short layout
-    for pos, (raw, cell) in enumerate(layout):
+    feat_index = {}
+    weights = np.empty((len(rows), L))
+    for pos, raw in enumerate(rows):
         row_no = cursor + 2 + pos
         cells = raw.split("\t")
-        if len(cells) != 4:
-            raise ParseError(f"expected 4 fields, got {len(cells)}", row_no)
-        idx_s, feat, lab, weight_s = cells
-        try:
-            idx = int(idx_s)
-            weight = float(weight_s)
-            if not math.isfinite(weight):
-                raise ValueError(f"non-finite weight {weight_s!r}")
-        except ValueError as exc:
-            raise ParseError(f"bad weight row: {exc}", row_no) from None
-        if (idx, (feat, lab)) != (pos, cell):  # rows are written in order
-            raise ParseError(f"row {idx} ({feat}, {lab}) does not match "
-                             f"layout entry {pos} {cell}", row_no)
-        if pos == stray:
-            raise ParseError(f"feature {feat!r} names no rule of the "
+        if len(cells) != L + 1:
+            raise ParseError(f"expected {L + 1} fields, got {len(cells)}",
+                             row_no)
+        name = cells[0]
+        if pos >= n_features:
+            if name != trans_names[pos - n_features]:
+                raise ParseError(f"expected transition row "
+                                 f"{trans_names[pos - n_features]!r}, not "
+                                 f"{name!r}", row_no)
+        elif name[:name.find("=") + 1] not in heads:
+            raise ParseError(f"feature {name!r} names no rule of the "
                              "template", row_no)
-        weights[pos] = weight
-    return CrfModel(alphabet, weights, scheme, template, event_type)
+        elif feat_index.setdefault(name, pos) != pos:
+            raise ParseError(f"feature {name!r} repeats line "
+                             f"{cursor + 2 + feat_index[name]}", row_no)
+        try:
+            # every one of the L tabs opens a weight: all must be hex
+            if raw.count("\t0x") + raw.count("\t-0x") != L:
+                raise ValueError
+            weights[pos] = list(map(float.fromhex, cells[1:]))
+        except (ValueError, OverflowError):
+            reason = next(filter(None, map(_weight_error, cells[1:])))
+            raise ParseError(f"bad weight row: {reason}", row_no) from None
+    alphabet = FeatureAlphabet(labels, transitions, feat_index)
+    return CrfModel(alphabet, weights.ravel(), scheme, template, event_type)

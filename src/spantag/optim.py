@@ -17,13 +17,14 @@ its gradient function must not keep ``x`` past the gradient call or
 the trial's rejection.
 
 The curvature history lives in two preallocated ``(memory + 1, dim)``
-arrays S and Y, with rho = 1 / (y . s) per slot and a list of the
-slots in use, oldest first.  Each new pair is written in place into a
-slot outside that list and joins it only if it passes the curvature
-test, so a rejected pair never displaces a kept one; a reset empties
-the list.  There is one restart path: when the L-BFGS direction goes
-uphill or its line search fails, the history is reset and the
-iteration retried along -g, and a failure with no history raises.
+arrays S and Y, with the curvature s . y and y . y of each slot, both
+computed once, when its pair is kept, and a list of the slots in use,
+oldest first.  Each new pair is written in place into a slot outside
+that list and joins it only if it passes the curvature test, so a
+rejected pair never displaces a kept one; a reset empties the list.
+There is one restart path: when the L-BFGS direction goes uphill or
+its line search fails, the history is reset and the iteration retried
+along -g, and a failure with no history raises.
 """
 
 import math
@@ -60,20 +61,21 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i", a, b))
 
 
-def _two_loop(grad, S, Y, rho, order):
+def _two_loop(grad, S, Y, sy, yy, order):
     """Implicit product of the L-BFGS inverse Hessian with the gradient,
-    over the history slots in ``order`` (oldest first)."""
+    over the history slots in ``order`` (oldest first), whose s . y and
+    y . y are ``sy`` and ``yy``: two dots per pair."""
     q = grad.copy()
     buf = np.empty_like(q)
     alphas = []
+    # times 1 / (s . y), not over s . y: the two round differently
     for i in reversed(order):
-        a = rho[i] * dot(S[i], q)
+        a = (1.0 / sy[i]) * dot(S[i], q)
         alphas.append(a)
         q -= np.multiply(a, Y[i], out=buf)
-    s, y = S[order[-1]], Y[order[-1]]
-    q *= dot(s, y) / dot(y, y)
+    q *= sy[order[-1]] / yy[order[-1]]
     for i, a in zip(order, reversed(alphas)):
-        b = rho[i] * dot(Y[i], q)
+        b = (1.0 / sy[i]) * dot(Y[i], q)
         q += np.multiply(a - b, S[i], out=buf)
     return q
 
@@ -102,7 +104,8 @@ def minimize(fun, x0, *, memory: int = 10, eta: float = 1e-4,
     _check_finite(f, g)
     S = np.empty((memory + 1, x.size))
     Y = np.empty_like(S)
-    rho = [0.0] * (memory + 1)
+    sy = [0.0] * (memory + 1)  # s . y of each slot
+    yy = [0.0] * (memory + 1)  # y . y of each slot
     order: list[int] = []  # history slots in use, oldest first
     flat_count = 0
 
@@ -110,7 +113,7 @@ def minimize(fun, x0, *, memory: int = 10, eta: float = 1e-4,
         log.iterations = iteration
         while True:
             if order:
-                direction = _two_loop(g, S, Y, rho, order)
+                direction = _two_loop(g, S, Y, sy, yy, order)
                 np.negative(direction, out=direction)
             else:
                 direction = -g
@@ -134,7 +137,7 @@ def minimize(fun, x0, *, memory: int = 10, eta: float = 1e-4,
         y = np.subtract(g_new, g, out=Y[slot])
         curvature = dot(s, y)
         if curvature > _CURVATURE_EPS:
-            rho[slot] = 1.0 / curvature
+            sy[slot], yy[slot] = curvature, dot(y, y)
             order.append(slot)
             if len(order) > memory:
                 order.pop(0)

@@ -11,9 +11,11 @@ score and scatter a (positions, rules) id matrix position by position;
 ``crf.instance_lattice`` and ``crf.node_gradient`` on a grouped
 ``crf.NodeLayout`` must agree with them.
 
-The string expanders define the feature strings: ``feature_table`` is a
-sentence's rows of column values, ``expand`` the strings "id=v1/v2/..."
-of one position and ``expand_sentence`` those of every position.
+The string expanders define the feature strings: ``token_case`` is the
+letter-by-letter case classifier that ``textprep.token_case`` must
+agree with, ``feature_table`` a sentence's rows of column values,
+``expand`` the strings "id=v1/v2/..." of one position and
+``expand_sentence`` those of every position.
 ``string_alphabet`` and ``string_ids`` number every occurrence's string
 the way ``crf.build_alphabet`` and ``CrfModel.tag`` number them through
 integer keys, which must give the same ids.
@@ -36,7 +38,7 @@ from spantag.crf import FeatureAlphabet, intern
 from spantag.errors import (ConfigError, NumericError, ParseError,
                             SchemeValidityError, split_lines)
 from spantag.features import MAX_OFFSET, FeatureTemplate, Rule
-from spantag.textprep import porter_stem, token_case, token_kind
+from spantag.textprep import porter_stem, token_kind
 
 
 @dataclass
@@ -214,6 +216,24 @@ def node_gradient(marg: np.ndarray, ids: np.ndarray,
 
 
 # --- feature strings ------------------------------------------------------
+
+def token_case(surface: str) -> str:
+    """Capitalization class of a token, one letter at a time: "none"
+    without letters, "uppercase" for a lone capital, then "lowercase",
+    "allCaps", "upperInitial" or "mixedCaps" by the letters' cases."""
+    letters = [ch for ch in surface if ch.isalpha()]
+    if not letters:
+        return "none"
+    if len(surface) == 1 and surface.isupper():
+        return "uppercase"
+    if all(ch.islower() for ch in letters):
+        return "lowercase"
+    if len(surface) > 1 and all(ch.isupper() for ch in letters):
+        return "allCaps"
+    if letters[0].isupper() and all(ch.islower() for ch in letters[1:]):
+        return "upperInitial"
+    return "mixedCaps"
+
 
 def feature_table(sentence) -> list[tuple[str, ...]]:
     """Per-token column rows for template expansion (column 0 unused)."""

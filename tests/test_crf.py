@@ -909,6 +909,17 @@ _FEATURE_STRINGS = st.text(
 _AWKWARD_WEIGHTS = (-0.0, 5e-324, 1e308, -1e308)
 
 
+def weight_rows(text: str) -> tuple[list[str], int]:
+    """(lines of a model text, index of its first weight row)."""
+    lines = text.splitlines()
+    return lines, next(i for i, line in enumerate(lines)
+                       if line.startswith("features = ")) + 1
+
+
+def load_lines(lines: list[str]):
+    return load_model("\n".join(lines) + "\n")
+
+
 class TestModelFile:
     def test_round_trip_is_exact(self, trained):
         docs, model = trained
@@ -966,7 +977,7 @@ class TestModelFile:
             assert clone.tag(doc) == model.tag(doc)
 
     def test_untrained_weights_round_trip_verbatim(self):
-        # exercises repr-level float fidelity on awkward values
+        # exercises float.hex fidelity on awkward values
         scheme = get_scheme("IO")
         alphabet = FeatureAlphabet(scheme.labels, True,
                                    intern(["U00=alpha", "U00=beta"])[0])
@@ -1004,10 +1015,42 @@ class TestModelFile:
         assert list(clone.alphabet.feat_index) == features
         assert_same_text(save_model(clone), text)
 
+    def test_rows_hold_a_feature_and_its_hex_weights(self):
+        # one row per feature, then one per previous label: its weights
+        # into each label, in label order
+        scheme = get_scheme("IO")
+        alphabet = FeatureAlphabet(scheme.labels, True,
+                                   intern(["U00=alpha", "U00=beta"])[0])
+        weights = np.array([0.5, -1.0, 3.0, -0.0, 2.0**-997, 2.0, 0.1, -7.5])
+        model = CrfModel(alphabet, weights, scheme,
+                         parse_template("U00:%x[0,1]\nB\n"), "TEST")
+        lines, first = weight_rows(save_model(model))
+        assert lines[0] == "spantag-crf v2"
+        assert lines[first - 1:] == [
+            "features = 2",
+            "U00=alpha\t0x1.0000000000000p-1\t-0x1.0000000000000p+0",
+            "U00=beta\t0x1.8000000000000p+1\t-0x0.0p+0",
+            "_TRANS_O\t0x1.0000000000000p-997\t0x1.0000000000000p+1",
+            "_TRANS_I\t0x1.999999999999ap-4\t-0x1.e000000000000p+2"]
+
     def test_rejects_unknown_format(self):
         with pytest.raises(ParseError) as exc:
             load_model("something else\n")
         assert exc.value.line == 1
+
+    def test_rejects_a_version_1_file(self):
+        # the earlier format: one "index feature label weight" row per
+        # weight, in repr; it is read by no reader and must be retrained
+        text = ("spantag-crf v1\nscheme = IO\nevent_type = TEST\n"
+                "transitions = false\nlabels = O I\ntemplate_lines = 1\n"
+                "U00:%x[0,1]\nfeatures = 1\n"
+                "0\tU00=alpha\tO\t0.5\n1\tU00=alpha\tI\t-1.0\n")
+        with pytest.raises(ParseError) as exc:
+            load_model(text)
+        assert exc.value.line == 1
+        assert str(exc.value) == (
+            "line 1: unsupported model format 'spantag-crf v1' "
+            "(expected 'spantag-crf v2')")
 
     def test_rejects_missing_header(self, trained):
         _, model = trained
@@ -1034,25 +1077,58 @@ class TestModelFile:
     def test_rejects_bad_weight_value(self, trained):
         _, model = trained
         lines = save_model(model).splitlines()
-        idx, feat, lab, _ = lines[-1].split("\t")
-        lines[-1] = "\t".join([idx, feat, lab, "not-a-number"])
+        cells = lines[-1].split("\t")
+        cells[-1] = "not-a-number"
+        lines[-1] = "\t".join(cells)
         with pytest.raises(ParseError) as exc:
-            load_model("\n".join(lines) + "\n")
+            load_lines(lines)
         assert "bad weight row" in str(exc.value)
+        assert "not a hexadecimal float" in str(exc.value)
         assert exc.value.line == len(lines)
 
-    def test_rejects_shuffled_rows(self, trained):
-        # swap the first rows of two different feature blocks so that the
-        # first-occurrence numbering disagrees with the stored indices
+    @pytest.mark.parametrize("value", ["1.5", "10", "-0.25"])
+    def test_rejects_decimal_weight(self, trained, value):
+        # float.fromhex would read "1.5" as 1.3125 and "10" as 16.0
         _, model = trained
-        lines = save_model(model).splitlines()
-        first = next(i for i, line in enumerate(lines)
-                     if line.startswith("features = ")) + 1
-        block = len(model.scheme.labels)
-        lines[first], lines[first + block] = lines[first + block], lines[first]
+        lines, first = weight_rows(save_model(model))
+        cells = lines[first + 2].split("\t")
+        cells[2] = value
+        lines[first + 2] = "\t".join(cells)
         with pytest.raises(ParseError) as exc:
-            load_model("\n".join(lines) + "\n")
-        assert "does not match layout" in str(exc.value)
+            load_lines(lines)
+        assert exc.value.line == first + 3
+        assert str(exc.value) == (f"line {first + 3}: bad weight row: decimal "
+                                  f"weight {value!r}; weights are written by "
+                                  "float.hex")
+
+    @pytest.mark.parametrize("cells", [1, 3, 5])
+    def test_rejects_row_of_wrong_width(self, trained, cells):
+        _, model = trained  # IOB: a feature and three weights
+        lines, first = weight_rows(save_model(model))
+        lines[first + 1] = "\t".join(lines[first + 1].split("\t")[:cells]
+                                     + ["0x0.0p+0"] * (cells - 4))
+        with pytest.raises(ParseError) as exc:
+            load_lines(lines)
+        assert exc.value.line == first + 2
+        assert f"expected 4 fields, got {cells}" in str(exc.value)
+
+    def test_reordered_feature_rows_tag_the_same(self, trained):
+        # a feature's weights travel with its name: reversed feature rows
+        # number the features the other way round, and tag alike
+        docs, model = trained
+        lines, first = weight_rows(save_model(model))
+        n = model.alphabet.n_features
+        lines[first:first + n] = reversed(lines[first:first + n])
+        clone = load_lines(lines)
+        assert list(clone.alphabet.feat_index) == \
+            list(reversed(model.alphabet.feat_index))
+        w_node, w_trans = model.alphabet.split(model.weights)
+        c_node, c_trans = clone.alphabet.split(clone.weights)
+        assert np.array_equal(c_node, w_node[::-1])
+        assert np.array_equal(c_trans, w_trans)
+        held_out = synth.generate(synth.default_profile(), 3, 4)
+        for doc in docs + held_out:
+            assert clone.tag(doc) == model.tag(doc)
 
     @pytest.mark.parametrize("keep", [1, 2, 3, 4, 5, 6, 7, 20, 38])
     def test_rejects_file_cut_inside_header(self, trained, keep):
@@ -1095,65 +1171,88 @@ class TestModelFile:
         assert exc.value.line == 2
         assert "unknown scheme" in str(exc.value)
 
-    @pytest.mark.parametrize("value", ["nan", "1e999", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "1e999", "-inf", "0x1p+1024",
+                                       "inf", "-0xinf"])
     def test_rejects_non_finite_weight(self, trained, value):
+        # float.fromhex reads "inf" and "nan"; a hex weight cannot spell
+        # them, and one past the largest double overflows
         _, model = trained
-        lines = save_model(model).splitlines()
-        first = next(i for i, line in enumerate(lines)
-                     if line.startswith("features = ")) + 1
-        idx, feat, lab, _ = lines[first].split("\t")
-        lines[first] = "\t".join([idx, feat, lab, value])
+        lines, first = weight_rows(save_model(model))
+        cells = lines[first].split("\t")
+        cells[1] = value
+        lines[first] = "\t".join(cells)
         with pytest.raises(ParseError) as exc:
-            load_model("\n".join(lines) + "\n")
+            load_lines(lines)
         assert exc.value.line == first + 1
-        assert "non-finite" in str(exc.value)
+        if value == "-0xinf":
+            assert "not a hexadecimal float" in str(exc.value)
+        else:
+            assert "non-finite" in str(exc.value)
 
     def test_rejects_repeated_row(self, trained):
-        # a repeated transition row in place of the next one would leave
-        # that weight at zero
+        # a repeated transition row in place of the next one would give
+        # two labels one label's outgoing weights
         _, model = trained
         lines = save_model(model).splitlines()
         lines[-1] = lines[-2]
         with pytest.raises(ParseError) as exc:
-            load_model("\n".join(lines) + "\n")
+            load_lines(lines)
         assert exc.value.line == len(lines)
-        assert "does not match layout" in str(exc.value)
+        assert str(exc.value) == (f"line {len(lines)}: expected transition "
+                                  "row '_TRANS_I', not '_TRANS_B'")
+
+    @pytest.mark.parametrize("names", [
+        ("_TRANS_B", "_TRANS_O", "_TRANS_I"),  # reordered
+        ("_TRANS_O", "_TRANS_X", "_TRANS_I"),  # misnamed
+        ("_TRANS_O", "_TRANS_B", "U00=_B-2"),  # a feature in its place
+    ])
+    def test_rejects_misnamed_or_reordered_transition_rows(self, trained,
+                                                           names):
+        _, model = trained  # IOB: rows _TRANS_O, _TRANS_B, _TRANS_I
+        lines = save_model(model).splitlines()
+        assert [line.split("\t")[0] for line in lines[-3:]] == \
+            ["_TRANS_O", "_TRANS_B", "_TRANS_I"]
+        for at, name in zip(range(len(lines) - 3, len(lines)), names):
+            lines[at] = "\t".join([name] + lines[at].split("\t")[1:])
+        bad = next(i for i, name in enumerate(names)
+                   if name != ("_TRANS_O", "_TRANS_B", "_TRANS_I")[i])
+        with pytest.raises(ParseError) as exc:
+            load_lines(lines)
+        assert exc.value.line == len(lines) - 2 + bad
+        assert "expected transition row" in str(exc.value)
 
     @pytest.mark.parametrize("transitions", [False, True])
     def test_rejects_repeated_feature(self, transitions):
-        # the last feature's rows renamed to the first feature
+        # the last feature's row renamed to the first feature: read on,
+        # the two rows would merge into one feature
         scheme = get_scheme("IO")
         index, _ = intern(["U00=alpha", "U00=beta", "U00=gamma"])
         alphabet = FeatureAlphabet(scheme.labels, transitions, index)
         template = "U00:%x[0,1]\n" + ("B\n" if transitions else "")
         model = CrfModel(alphabet, np.zeros(alphabet.dim), scheme,
                          parse_template(template), "TEST")
-        lines = save_model(model).splitlines()
-        at = next(i for i, line in enumerate(lines) if "U00=gamma" in line)
-        lines[at:at + 2] = [line.replace("U00=gamma", "U00=alpha")
-                            for line in lines[at:at + 2]]
+        lines, first = weight_rows(save_model(model))
+        assert lines[first + 2].startswith("U00=gamma\t")
+        lines[first + 2] = lines[first + 2].replace("U00=gamma", "U00=alpha")
         with pytest.raises(ParseError) as exc:
-            load_model("\n".join(lines) + "\n")
-        assert exc.value.line == at + 1
-        assert "does not match layout" in str(exc.value)
+            load_lines(lines)
+        assert exc.value.line == first + 3
+        assert str(exc.value) == (f"line {first + 3}: feature 'U00=alpha' "
+                                  f"repeats line {first + 1}")
 
     @pytest.mark.parametrize("name", ["Z9=foo", "U99=pain", "U00", "pain"])
     def test_rejects_feature_of_no_template_rule(self, trained, name):
-        # the second and fourth features renamed in all their rows: the
-        # error names the second at its first row
+        # the second and fourth features renamed: the error names the
+        # second at its row
         _, model = trained
-        lines = save_model(model).splitlines()
-        first = next(i for i, line in enumerate(lines)
-                     if line.startswith("features = ")) + 1
-        L = len(model.scheme.labels)
+        lines, first = weight_rows(save_model(model))
         for fid, new in ((1, name), (3, "Z9=bar")):
-            for at in range(first + fid * L, first + (fid + 1) * L):
-                idx, _, lab, weight = lines[at].split("\t")
-                lines[at] = "\t".join([idx, new, lab, weight])
+            cells = lines[first + fid].split("\t")
+            lines[first + fid] = "\t".join([new] + cells[1:])
         with pytest.raises(ParseError) as exc:
-            load_model("\n".join(lines) + "\n")
-        assert exc.value.line == first + L + 1
-        assert str(exc.value) == (f"line {first + L + 1}: feature {name!r} "
+            load_lines(lines)
+        assert exc.value.line == first + 2
+        assert str(exc.value) == (f"line {first + 2}: feature {name!r} "
                                   "names no rule of the template")
 
     def test_template_error_carries_model_file_line(self, trained):
@@ -1299,22 +1398,29 @@ def test_golden_digests():
     ``optim.dot``, and when node scores and the node gradient moved to
     the grouped ``NodeLayout`` (sums per distinct id row, then per
     position): each time the summation order changed, and with it
-    the last bits of the weights, but not one tag.  Both hold for one
+    the last bits of the weights, but not one tag.  It was re-pinned
+    once more for the model file's second format (one row per feature,
+    ``float.hex`` weights), which changed no weight: the weight digest,
+    ``sha256(weights.tobytes())``, was taken before that change, and
+    pins the weights whatever the file format.  All three hold for one
     numpy build: a different exp/log or einsum implementation may change
     the last bits of the weights, and the digests must then be
     recomputed on the parent commit.  They do not depend on the BLAS
     thread count (``test_model_bytes_do_not_depend_on_blas_threads``).
     """
     docs, model = golden_training(transitions=True)
+    assert hashlib.sha256(model.weights.tobytes()).hexdigest() == (
+        "d77f441b0b352e64dfa9373d2bdf112f3494f47948d062306d66702f7e5965b0")
     text = save_model(model)
     clone = load_model(text)
+    assert clone.weights.tobytes() == model.weights.tobytes()
     tagged = [Document(d.id, d.sentences,
                        pipeline_spans(clone.tag(d), d, clone.scheme, "PROBLEM",
                                       mode="iobw+"))
               for d in docs[20:]]
     out = write_column_file(tagged, clone.scheme, ["PROBLEM"])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "fd2c8dba36b2a8b36fd89eabf7131cd9c6c0e80029023804e661cc5a3cd6b7cd")
+        "cf709380b8982c7428f06192282aa4887bda0a2744b830d67e5f7254f3127041")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a906f8cd2728672c0280059309ed303829e2d149fcbb43036f822dbe5d584a8f")
 
@@ -1322,12 +1428,14 @@ def test_golden_digests():
 def test_golden_digest_without_transitions():
     """The model-file bytes of a transitions-off training, which takes the
     forward pass's no-transitions branch (each alpha row is its node row
-    normalized, with no step loop).  Re-pinned with the digest above; the
-    same numpy-build caveat applies."""
+    normalized, with no step loop), and its weight digest.  Re-pinned
+    with the digests above; the same numpy-build caveat applies."""
     _, model = golden_training(transitions=False)
     assert not model.alphabet.transitions
+    assert hashlib.sha256(model.weights.tobytes()).hexdigest() == (
+        "6e4c7ce3a9587328f2923031d2746410d08d5b2b68a402e58ade3c8abf83a416")
     assert hashlib.sha256(save_model(model).encode()).hexdigest() == (
-        "ccc60c385e9e91b961a9dfaf79964d439687d24c43a0896b48d9543693f6cb8f")
+        "c3f7db0bf294929908c2592f439a8201305ab47122978e1226291e82416b0ddb")
 
 
 def test_model_bytes_do_not_depend_on_blas_threads():

@@ -336,6 +336,28 @@ class TestByteIdentity:
         assert_same_run(wavy, x0, memory=2, eta=1e-12, max_iterations=300)
 
 
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_two_loop_makes_two_dots_per_pair(monkeypatch, k):
+    # each pair's s . y and y . y are kept with it, so neither the scale
+    # nor the reciprocal curvature is recomputed
+    rng = np.random.default_rng(k)
+    S, Y = rng.normal(size=(2, k + 1, 5))
+    order = list(range(1, k + 1))
+    sy = [optim.dot(s, y) for s, y in zip(S, Y)]
+    yy = [optim.dot(y, y) for y in Y]
+    rho = [1.0 / optim.dot(y, s) for s, y in zip(S[1:], Y[1:])]
+    want = _oracle_two_loop(np.ones(5), list(S[1:]), list(Y[1:]), rho)
+    real, calls = optim.dot, []
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+    monkeypatch.setattr(optim, "dot", counting)
+    got = optim._two_loop(np.ones(5), S, Y, sy, yy, order)
+    assert len(calls) == 2 * k
+    assert got.tobytes() == want.tobytes()
+
+
 class TestRestart:
     """The reset paths, reached through fakes: no smooth objective here
     makes the two-loop direction go uphill or its line search fail."""
@@ -368,10 +390,10 @@ class TestRestart:
         real = optim._two_loop
         histories = []
 
-        def uphill_once(grad, S, Y, rho, order):
+        def uphill_once(grad, S, Y, sy, yy, order):
             histories.append(len(order))
             # minimize negates this, giving +grad: uphill
-            return -grad if len(histories) == 1 else real(grad, S, Y, rho,
+            return -grad if len(histories) == 1 else real(grad, S, Y, sy, yy,
                                                           order)
         monkeypatch.setattr(optim, "_two_loop", uphill_once)
         calls = self.spy_line_search(monkeypatch, failing=())

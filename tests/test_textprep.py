@@ -1,7 +1,10 @@
 """Token classifiers: kind and case."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from spantag.textprep import CASES, KINDS, token_case, token_kind
 
 
@@ -42,3 +45,27 @@ class TestTokenCase:
     def test_case_vocabulary_is_closed(self):
         for surface in ("ab", "Ab", "AB", "aB", "a1", "1a", "?"):
             assert token_case(surface) in CASES
+
+    @pytest.mark.parametrize("surface,case", [
+        ("中", "mixedCaps"), ("a中", "mixedCaps"), ("中A", "mixedCaps"),
+        ("Ab中", "mixedCaps"), ("ǅ", "mixedCaps"), ("ǅa", "mixedCaps"),
+        ("Aǅ", "mixedCaps"), ("ǈubljana", "mixedCaps"),
+        ("0", "none"), ("2024", "none"),
+        ("Z", "uppercase"), ("É", "uppercase"), ("Z.", "allCaps"),
+        ("é", "lowercase"), ("ÉCG", "allCaps"), ("Élan", "upperInitial"),
+        ("ⅰv", "lowercase"), ("Aⅰ", "allCaps"),
+    ])
+    def test_letter_by_letter_cases(self, surface, case):
+        # uncased and titlecase letters are neither lower nor upper, and
+        # a cased non-letter (the roman numeral "ⅰ") is not read
+        assert token_case(surface) == case
+        assert oracle.token_case(surface) == case
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text())
+    @example("a中")
+    @example("ǅ")
+    @example("A")
+    @example("12")
+    def test_matches_the_letter_by_letter_oracle(self, surface):
+        assert token_case(surface) == oracle.token_case(surface)
